@@ -21,7 +21,7 @@ from .errors import (
     InvariantError,
     ParityError,
 )
-from .solver import Solver, solve as _solve
+from .solver import Solver, _default_solver
 
 
 @dataclass(frozen=True)
@@ -38,25 +38,10 @@ class AllocationResult:
         if self.n_winner < 0:
             raise InvariantError(f"negative winner haul {self.n_winner}")
 
-    def to_json_dict(self) -> dict:
-        d = _solve(self.game).to_json_dict()
-        d["construction"] = self.construction
-        return d
-
 
 def _verified(game: Game, tag: str, solver: Optional[Solver]) -> AllocationResult:
-    result = (solver or _default()).solve(game)
+    result = (solver or _default_solver()).solve(game)
     return AllocationResult(game, result.n_winner, tag)
-
-
-_shared: Optional[Solver] = None
-
-
-def _default() -> Solver:
-    global _shared
-    if _shared is None:
-        _shared = Solver()
-    return _shared
 
 
 def _require_even(total: int) -> None:
@@ -282,7 +267,7 @@ def exhaustive_min_winner(
     _require_even(total)
     if max_pile is None:
         max_pile = total
-    s = solver or _default()
+    s = solver or _default_solver()
     best: Optional[int] = None
     keep: list[Game] = []
     for piles in _partitions(total, max_piles, max_pile):

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .core import Game, g_family_realize
 from .errors import InvariantError
-from .solver import Solver, value as _solve_value
+from .solver import Solver, _default_solver
 
 Endpoint = Union[int, Fraction, float]
 
@@ -40,7 +40,7 @@ class BoundInterval:
 
 
 def _anchor(g: Game, solver: Optional[Solver]) -> int:
-    return solver.value(g) if solver is not None else _solve_value(g)
+    return (solver or _default_solver()).value(g)
 
 
 def semiratio_bound(a: int) -> int:

@@ -33,17 +33,11 @@ from .allocation import (
     exhaustive_min_winner,
     five_pile_construct,
 )
-from .bounds import corollary_lower, general_bounds, standard_form_bounds
-from .core import Game, Turn, g_family_realize, loser_moves, winning_moves
-from .errors import (
-    BudgetError,
-    CandyNimError,
-    ConstructionError,
-    ParseError,
-    UnknownClaimError,
-)
+from .core import Game, Turn, loser_moves, winning_moves
+from .errors import BudgetError, CandyNimError, ConstructionError, ParseError
 from .harness import (
     PROFILES,
+    bound_row,
     bound_rows,
     exit_status,
     render_trace,
@@ -82,7 +76,6 @@ class CliConfig:
     pile_cap: int = DEFAULT_PILE_CAP
     memo_cap: int = DEFAULT_MEMO_CAP
     engine: str = "auto"
-    seedless: bool = True  # nothing here draws random numbers; kept for the record
 
     def __post_init__(self):
         if self.output_format not in FORMATS:
@@ -316,7 +309,7 @@ def _trace_json(game: Game, strategy: str, t: StrategyTrace) -> dict:
 
 def _cmd_simulate(args, cfg: CliConfig, out) -> int:
     game = Game.parse(args.game)
-    trace = simulate(_STRATEGIES[args.strategy], game)
+    trace = simulate(_STRATEGIES[args.strategy], game, cfg.solver())
     if cfg.output_format == "json":
         out.write(json.dumps(_trace_json(game, args.strategy, trace),
                              sort_keys=True, separators=(",", ":")) + "\n")
@@ -380,36 +373,10 @@ def _parse_point(params: str) -> dict[str, int]:
     return point
 
 
-def _point_row(claim: str, point: dict[str, int], solver: Solver) -> dict:
-    x = point.get("x", 0)
-    if claim == "standard-form-interval":
-        k, m = point["k"], point["m"]
-        iv = standard_form_bounds(k, m, solver)
-        exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, 0)).value
-        params = f"k={k},m={m}"
-        lo, up = iv.lower, iv.upper
-    elif claim == "family-offset-lower":
-        a, m = point["a"], point["m"]
-        lo = corollary_lower(a, m, x)
-        exact = solver.solve(g_family_realize(a, m, x)).value
-        params, up = f"a={a},m={m},x={x}", ""
-    elif claim == "neighbor-transfer-interval":
-        k, m = point["k"], point["m"]
-        iv = general_bounds(k, m, x, solver)
-        exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, x)).value
-        params = f"k={k},m={m},x={x}"
-        lo, up = iv.lower, iv.upper
-    else:
-        raise UnknownClaimError(f"no bound sweep {claim!r}")
-    holds = lo <= exact and (up == "" or exact <= up)
-    return {"claim_id": claim, "params": params, "lower": lo, "exact": exact,
-            "upper": up, "holds": holds}
-
-
 def _cmd_bounds(args, cfg: CliConfig, out) -> int:
     solver = cfg.solver()
     if args.params:
-        rows = [_point_row(args.claim, _parse_point(args.params), solver)]
+        rows = [bound_row(args.claim, _parse_point(args.params), solver)]
     else:
         rows = bound_rows(args.claim, cfg.budget_profile, solver)
     if cfg.output_format == "json":
@@ -451,8 +418,9 @@ def _cmd_allocate(args, cfg: CliConfig, out) -> int:
     else:
         result = equality_family(total, solver) or five_pile_construct(total, solver)
     if cfg.output_format == "json":
-        out.write(json.dumps(result.to_json_dict(), sort_keys=True,
-                             separators=(",", ":")) + "\n")
+        d = solver.solve(result.game).to_json_dict()
+        d["construction"] = result.construction
+        out.write(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
     elif cfg.output_format == "csv":
         out.write(_csv_out(
             ["game", "n_winner", "construction"],

@@ -15,8 +15,7 @@ never fail the build: they collect supporting and violating instances.
 
 from __future__ import annotations
 
-import csv
-import io
+import inspect
 import json
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -50,8 +49,8 @@ from .core import (
     winning_moves,
     xor_adjacent,
 )
-from .errors import UnknownClaimError
-from .solver import Solver
+from .errors import ParseError, UnknownClaimError
+from .solver import Solver, _default_solver
 from .strategies import (
     StrategyTrace,
     flip_flop_policy,
@@ -366,19 +365,38 @@ def _c_strategy_cap(profile: str, solver: Solver) -> _Outcome:
     )
 
 
+def _bound_row(claim_id: str, params: str, lower, exact: int, upper) -> dict:
+    """One lower/exact/upper row; an upper of "" means the claim has none."""
+    return {
+        "claim_id": claim_id,
+        "params": params,
+        "lower": lower,
+        "exact": exact,
+        "upper": upper,
+        "holds": lower <= exact and (upper == "" or exact <= upper),
+    }
+
+
+def _sweep_failures(rows: Iterator[dict]) -> tuple[int, tuple[str, ...]]:
+    """Row count and one replayable failure per row that does not hold."""
+    rows = list(rows)
+    keys = ("params", "lower", "exact", "upper")
+    failures = tuple(
+        _fail(**{k: r[k] for k in keys if r[k] != ""}) for r in rows if not r["holds"]
+    )
+    return len(rows), failures
+
+
+def _standard_row(solver: Solver, k: int, m: int) -> dict:
+    iv = standard_form_bounds(k, m, solver)
+    exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, 0)).value
+    return _bound_row("standard-form-interval", f"k={k},m={m}", iv.lower, exact, iv.upper)
+
+
 def _standard_rows(profile: str, solver: Solver) -> Iterator[dict]:
     for k in range(0, 3):
         for m in range(1, 7):
-            iv = standard_form_bounds(k, m, solver)
-            exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, 0)).value
-            yield {
-                "claim_id": "standard-form-interval",
-                "params": f"k={k},m={m}",
-                "lower": iv.lower,
-                "exact": exact,
-                "upper": iv.upper,
-                "holds": iv.contains(exact),
-            }
+            yield _standard_row(solver, k, m)
 
 
 @_register(
@@ -386,19 +404,7 @@ def _standard_rows(profile: str, solver: Solver) -> Iterator[dict]:
     "the exact value of [2^(k+1)-1, 2^(k+1)m, ...] sits inside the stated window",
 )
 def _c_standard_interval(profile: str, solver: Solver) -> _Outcome:
-    failures = []
-    count = 0
-    for row in _standard_rows(profile, solver):
-        count += 1
-        if not row["holds"]:
-            failures.append(
-                _fail(
-                    params=row["params"],
-                    lower=row["lower"],
-                    exact=row["exact"],
-                    upper=row["upper"],
-                )
-            )
+    count, failures = _sweep_failures(_standard_rows(profile, solver))
     residuals = ", ".join(
         f"b({k})={solver.solve(g_family_realize(2 ** (k + 1) - 1, 1, 0)).value}"
         for k in range(0, 3)
@@ -406,7 +412,7 @@ def _c_standard_interval(profile: str, solver: Solver) -> _Outcome:
     return _Outcome(
         "k<=2, m<=6",
         count,
-        tuple(failures),
+        failures,
         "lower endpoint uses the solved fractal tail; the alternative endgame "
         f"constant floor 3(2^(k+1)-1) overshoots the measured residuals {residuals}, "
         "so it is reported here instead of being folded into the window",
@@ -437,21 +443,19 @@ def _c_standard_proof_variant(profile: str, solver: Solver) -> _Outcome:
     )
 
 
+def _corollary_row(solver: Solver, a: int, m: int, x: int = 0) -> dict:
+    exact = solver.solve(g_family_realize(a, m, x)).value
+    return _bound_row(
+        "family-offset-lower", f"a={a},m={m},x={x}", corollary_lower(a, m, x), exact, ""
+    )
+
+
 def _corollary_rows(profile: str, solver: Solver) -> Iterator[dict]:
     amax, mmax = {"smoke": (3, 2), "desk": (7, 4), "extended": (7, 4)}[profile]
     for a in range(1, amax + 1):
         for m in range(1, mmax + 1):
             for x in range(2 ** (a.bit_length() - 1)):
-                exact = solver.solve(g_family_realize(a, m, x)).value
-                lo = corollary_lower(a, m, x)
-                yield {
-                    "claim_id": "family-offset-lower",
-                    "params": f"a={a},m={m},x={x}",
-                    "lower": lo,
-                    "exact": exact,
-                    "upper": "",
-                    "holds": lo <= exact,
-                }
+                yield _corollary_row(solver, a, m, x)
 
 
 @_register(
@@ -460,15 +464,16 @@ def _corollary_rows(profile: str, solver: Solver) -> Iterator[dict]:
 )
 def _c_corollary(profile: str, solver: Solver) -> _Outcome:
     amax, mmax = {"smoke": (3, 2), "desk": (7, 4), "extended": (7, 4)}[profile]
-    failures = []
-    count = 0
-    for row in _corollary_rows(profile, solver):
-        count += 1
-        if not row["holds"]:
-            failures.append(
-                _fail(params=row["params"], lower=row["lower"], exact=row["exact"])
-            )
-    return _Outcome(f"a<={amax}, m<={mmax}, all x", count, tuple(failures))
+    count, failures = _sweep_failures(_corollary_rows(profile, solver))
+    return _Outcome(f"a<={amax}, m<={mmax}, all x", count, failures)
+
+
+def _general_row(solver: Solver, k: int, m: int, x: int = 0) -> dict:
+    iv = general_bounds(k, m, x, solver)
+    exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, x)).value
+    return _bound_row(
+        "neighbor-transfer-interval", f"k={k},m={m},x={x}", iv.lower, exact, iv.upper
+    )
 
 
 def _general_rows(profile: str, solver: Solver) -> Iterator[dict]:
@@ -476,16 +481,7 @@ def _general_rows(profile: str, solver: Solver) -> Iterator[dict]:
     if profile != "smoke":
         cases.append((4, 1, 10))
     for k, m, x in cases:
-        iv = general_bounds(k, m, x, solver)
-        exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, x)).value
-        yield {
-            "claim_id": "neighbor-transfer-interval",
-            "params": f"k={k},m={m},x={x}",
-            "lower": iv.lower,
-            "exact": exact,
-            "upper": iv.upper,
-            "holds": iv.contains(exact),
-        }
+        yield _general_row(solver, k, m, x)
 
 
 @_register(
@@ -493,21 +489,9 @@ def _general_rows(profile: str, solver: Solver) -> Iterator[dict]:
     "offset families sit between their exactly-solved aligned neighbors, shifted by 2x",
 )
 def _c_general(profile: str, solver: Solver) -> _Outcome:
-    failures = []
-    count = 0
-    for row in _general_rows(profile, solver):
-        count += 1
-        if not row["holds"]:
-            failures.append(
-                _fail(
-                    params=row["params"],
-                    lower=row["lower"],
-                    exact=row["exact"],
-                    upper=row["upper"],
-                )
-            )
+    count, failures = _sweep_failures(_general_rows(profile, solver))
     params = "k=1, m<=4, all x" + ("" if profile == "smoke" else "; plus k=4,m=1,x=10")
-    return _Outcome(params, count, tuple(failures))
+    return _Outcome(params, count, failures)
 
 
 @_register(
@@ -924,7 +908,7 @@ def verify_claim(claim_id: str, profile: str = "desk", solver: Optional[Solver] 
         raise UnknownClaimError(
             f"no claim {claim_id!r}; known: {', '.join(sorted(_REGISTRY))}"
         )
-    outcome = entry.run(profile, solver or _shared_solver())
+    outcome = entry.run(profile, solver or _default_solver())
     if not outcome.failures:
         status = STATUS_PASS
     elif entry.kind == "claim":
@@ -944,22 +928,13 @@ def verify_claim(claim_id: str, profile: str = "desk", solver: Optional[Solver] 
     )
 
 
-def conjecture_scan(conj_id: str, profile: str = "desk", solver: Optional[Solver] = None) -> ClaimReport:
-    """Run one conjecture scan; scans report but never fail the build."""
-    entry = _REGISTRY.get(conj_id)
-    if entry is None or entry.kind != "conjecture":
-        known = ", ".join(k for k, e in sorted(_REGISTRY.items()) if e.kind == "conjecture")
-        raise UnknownClaimError(f"no conjecture {conj_id!r}; known: {known}")
-    return verify_claim(conj_id, profile, solver)
-
-
 def claim_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
 def run_all(profile: str = "desk", solver: Optional[Solver] = None) -> tuple[ClaimReport, ...]:
     """Every registered claim and conjecture, ordered by claim id."""
-    s = solver or _shared_solver()
+    s = solver or _default_solver()
     return tuple(verify_claim(cid, profile, s) for cid in claim_ids())
 
 
@@ -991,38 +966,40 @@ def summary_table(reports) -> str:
 
 
 _BOUND_SWEEPS = {
-    "standard-form-interval": _standard_rows,
-    "family-offset-lower": _corollary_rows,
-    "neighbor-transfer-interval": _general_rows,
+    "standard-form-interval": (_standard_rows, _standard_row),
+    "family-offset-lower": (_corollary_rows, _corollary_row),
+    "neighbor-transfer-interval": (_general_rows, _general_row),
 }
 
 
-def bound_rows(claim_id: str, profile: str = "desk", solver: Optional[Solver] = None) -> list[dict]:
-    """The lower/exact/upper table behind one of the bound-sweep claims."""
+def _bound_sweep(claim_id: str) -> tuple:
     if claim_id not in _BOUND_SWEEPS:
         raise UnknownClaimError(
             f"no bound sweep {claim_id!r}; known: {', '.join(sorted(_BOUND_SWEEPS))}"
         )
-    return list(_BOUND_SWEEPS[claim_id](profile, solver or _shared_solver()))
+    return _BOUND_SWEEPS[claim_id]
 
 
-def bounds_csv(claim_id: str, profile: str = "desk", solver: Optional[Solver] = None) -> str:
-    """CSV export of a bound sweep: claim_id,params,lower,exact,upper,holds."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["claim_id", "params", "lower", "exact", "upper", "holds"])
-    for row in bound_rows(claim_id, profile, solver):
-        w.writerow(
-            [
-                row["claim_id"],
-                row["params"],
-                row["lower"],
-                row["exact"],
-                row["upper"],
-                str(row["holds"]).lower(),
-            ]
-        )
-    return buf.getvalue()
+def bound_rows(claim_id: str, profile: str = "desk", solver: Optional[Solver] = None) -> list[dict]:
+    """The lower/exact/upper table behind one of the bound-sweep claims."""
+    rows, _ = _bound_sweep(claim_id)
+    return list(rows(profile, solver or _default_solver()))
+
+
+def bound_row(claim_id: str, point: dict[str, int], solver: Solver) -> dict:
+    """One row of a bound sweep at a single point, such as ``{"k": 1, "m": 2}``.
+
+    Raises:
+        UnknownClaimError: ``claim_id`` is not a bound sweep.
+        ParseError: ``point`` lacks a parameter the sweep needs, or names
+            one it does not take.
+    """
+    _, row = _bound_sweep(claim_id)
+    try:
+        inspect.signature(row).bind(solver, **point)
+    except TypeError as exc:
+        raise ParseError(f"bad parameters for {claim_id}: {exc}") from None
+    return row(solver, **point)
 
 
 def render_trace(t: StrategyTrace) -> str:
@@ -1063,13 +1040,3 @@ def _column_step(cols: list[int], pos: Game, nxt: Game) -> tuple[int, int]:
     new_size = next((s for s, c in gone.items() if c < 0), 0)
     idx = cols.index(old_size)
     return idx, new_size
-
-
-_solver_cache: Optional[Solver] = None
-
-
-def _shared_solver() -> Solver:
-    global _solver_cache
-    if _solver_cache is None:
-        _solver_cache = Solver()
-    return _solver_cache

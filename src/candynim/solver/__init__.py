@@ -17,6 +17,7 @@ apply the shared tie-break without unpacking.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from ..errors import (
     InvariantError,
     PileCapError,
 )
-from ._python import PyEngine, TranspositionTable, oracle_entry, oracle_value
+from ._python import PyEngine, _child, oracle_entry, oracle_value
 
 try:
     from . import _kernel
@@ -103,6 +104,23 @@ class SolveResult:
             "n_winner": self.n_winner,
             "line": line,
         }
+
+
+def _solved(game: Game, value_fn, entry_fn) -> SolveResult:
+    """Result for a nonempty game from a value and a best-entry function.
+
+    The principal line follows ``entry_fn``'s tie-break-optimal ply from
+    each position down to the empty game.
+    """
+    value = value_fn(game.piles)
+    line = []
+    piles = game.piles
+    while piles:
+        _, i, new = entry_fn(piles)
+        line.append(Ply(i, new))
+        piles = _child(piles, i, new)
+    n_loser, n_winner = _split(game.total, value)
+    return SolveResult(game, value, n_loser, n_winner, tuple(line))
 
 
 def _split(total: int, value: int) -> tuple[int, int]:
@@ -211,16 +229,7 @@ class Solver:
         if workers > 1:
             return self._solve_parallel(game, workers)
         eng = self._pick(game.piles)
-        value = eng.solve_value(game.piles)
-        line = []
-        piles = game.piles
-        while piles:
-            _, i, new = eng.best_entry(piles)
-            line.append(Ply(i, new))
-            rest = piles[:i] + piles[i + 1 :]
-            piles = tuple(sorted(rest + (new,), reverse=True)) if new else rest
-        n_loser, n_winner = _split(game.total, value)
-        return SolveResult(game, value, n_loser, n_winner, tuple(line))
+        return _solved(game, eng.solve_value, eng.best_entry)
 
     def best_plies(self, game: Game) -> tuple[Ply, ...]:
         """Every value-optimal ply for the player to move, ascending.
@@ -240,14 +249,14 @@ class Solver:
         if g == 0:
             for i, p in enumerate(piles):
                 for new in range(p):
-                    child = _apply(piles, i, new)
+                    child = _child(piles, i, new)
                     v = (p - new) + (eng.solve_value(child) if child else 0)
                     best_v, out = _collect(best_v, out, v, i, new, maximize=True)
         else:
             for i, p in enumerate(piles):
                 target = g ^ p
                 if target < p:
-                    child = _apply(piles, i, target)
+                    child = _child(piles, i, target)
                     v = (eng.solve_value(child) if child else 0) - (p - target)
                     best_v, out = _collect(best_v, out, v, i, target, maximize=False)
         return tuple(Ply(i, new) for i, new in sorted(out))
@@ -256,9 +265,10 @@ class Solver:
         """Solve by memoless reference recursion (cross-check path).
 
         Exponential in the candy total, hence the ``max_total`` fence.
-        Uses the kernel's oracle when available, the Python one
-        otherwise; both share the solver tie-break, so the result equals
-        :meth:`solve` whenever both are in budget.
+        The oracle is plain Python whatever the solver's engine, so it
+        stays independent of the engines it checks; it shares their
+        tie-break, so the result equals :meth:`solve` whenever both are
+        in budget.
         """
         self._check_caps(game)
         if game.total > max_total:
@@ -267,18 +277,7 @@ class Solver:
             )
         if not game:
             return SolveResult(game, 0, 0, 0, ())
-        native = self.engine != "python" and _kernel is not None and len(game) <= 31
-        entry_fn = _kernel.oracle_entry if native else oracle_entry
-        value_fn = _kernel.oracle_value if native else oracle_value
-        value = value_fn(game.piles)
-        line = []
-        piles = game.piles
-        while piles:
-            _, i, new = entry_fn(piles)
-            line.append(Ply(i, new))
-            piles = _apply(piles, i, new)
-        n_loser, n_winner = _split(game.total, value)
-        return SolveResult(game, value, n_loser, n_winner, tuple(line))
+        return _solved(game, oracle_value, oracle_entry)
 
     def stats(self) -> list[dict]:
         """Per-engine table statistics, native tables first."""
@@ -301,7 +300,7 @@ class Solver:
         else:
             plies = [(i, g ^ p) for i, p in enumerate(piles) if (g ^ p) < p]
         tasks = [
-            (_apply(piles, i, new), self.engine, self.pile_cap, self.memo_cap)
+            (_child(piles, i, new), self.engine, self.pile_cap, self.memo_cap)
             for i, new in plies
         ]
         ctx = multiprocessing.get_context()
@@ -309,7 +308,7 @@ class Solver:
             solved = pool.map(_solve_child_task, tasks)
         best = None
         for (i, new), (child_value, child_line) in zip(plies, solved):
-            child = _apply(piles, i, new)
+            child = _child(piles, i, new)
             take = piles[i] - new
             v = take + child_value if g == 0 else child_value - take
             rank = (-v if g == 0 else v, child, i, new)
@@ -321,13 +320,6 @@ class Solver:
         line = (Ply(i, new),) + tuple(Ply(a, b) for a, b in child_line)
         n_loser, n_winner = _split(game.total, value)
         return SolveResult(game, value, n_loser, n_winner, line)
-
-
-def _apply(piles: tuple, i: int, new: int) -> tuple:
-    rest = piles[:i] + piles[i + 1 :]
-    if not new:
-        return rest
-    return tuple(sorted(rest + (new,), reverse=True))
 
 
 def _collect(best_v, out, v, i, new, maximize):
@@ -345,36 +337,28 @@ def _solve_child_task(args):
     return result.value, [(p.pile_index, p.new_size) for p in result.principal_line]
 
 
-_shared: Solver | None = None
-
-
+@functools.cache
 def _default_solver() -> Solver:
-    global _shared
-    if _shared is None:
-        _shared = Solver()
-    return _shared
+    """The one module-wide solver behind every call that is given none."""
+    return Solver()
+
+
+def _resolve(kwargs: dict) -> Solver:
+    return Solver(**kwargs) if kwargs else _default_solver()
 
 
 def solve(game: Game, workers: int = 1, **kwargs) -> SolveResult:
-    """Solve with a module-shared default solver (or a custom one via kwargs)."""
-    if kwargs:
-        return Solver(**kwargs).solve(game, workers=workers)
-    return _default_solver().solve(game, workers=workers)
+    """Solve with the module default solver (or a custom one via kwargs)."""
+    return _resolve(kwargs).solve(game, workers=workers)
 
 
 def value(game: Game, **kwargs) -> int:
-    if kwargs:
-        return Solver(**kwargs).value(game)
-    return _default_solver().value(game)
+    return _resolve(kwargs).value(game)
 
 
 def best_plies(game: Game, **kwargs) -> tuple[Ply, ...]:
-    if kwargs:
-        return Solver(**kwargs).best_plies(game)
-    return _default_solver().best_plies(game)
+    return _resolve(kwargs).best_plies(game)
 
 
 def oracle_solve(game: Game, max_total: int = DEFAULT_ORACLE_CAP, **kwargs) -> SolveResult:
-    if kwargs:
-        return Solver(**kwargs).oracle_solve(game, max_total=max_total)
-    return _default_solver().oracle_solve(game, max_total=max_total)
+    return _resolve(kwargs).oracle_solve(game, max_total=max_total)

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 from .core import Game, Ply, Turn, OutcomeClass, unique_response
 from .errors import FamilyError, IllegalMoveError, NoMovesError
+from .solver import Solver, _default_solver
 
 ContractiveFn = Callable[[int], int]
 # exponent maps: feed j (for smallest pile 2^j - 1), get back 1..j
@@ -131,29 +132,21 @@ class StrategyTrace:
         return self.turns[0].before if self.turns else Game([])
 
 
-def _forced_reply(pos: Game, ply: Ply, after: Game) -> Ply:
-    if len(pos) <= 3:
-        return unique_response(pos, ply)
-    from .solver import solve
-
-    return solve(after).principal_line[0]
-
-
 def simulate(
     pick_ply: Callable[[Game], Ply],
     g: Game,
-    responder: Optional[Callable[[Game], Ply]] = None,
+    solver: Optional[Solver] = None,
 ) -> StrategyTrace:
     """Play a loser policy to the end and collect the trace.
 
     The winner answers each ply with the unique reply when the position
-    has at most three piles, and with solver-optimal play otherwise;
-    ``responder`` overrides that, taking the position the loser left.
+    has at most three piles, and with solver-optimal play otherwise.
 
     Args:
         pick_ply: loser policy, called on each zero-nim-sum position.
         g: starting position; must have zero nim-sum.
-        responder: optional winner policy.
+        solver: picks the winner's replies in positions of more than
+            three piles; the module default solver when omitted.
 
     Raises:
         ValueError: if ``g`` has nonzero nim-sum.
@@ -170,10 +163,10 @@ def simulate(
             after_loser = pos.apply(ply)
         except IllegalMoveError as exc:
             raise IllegalMoveError(f"turn {len(turns)}: {exc}") from None
-        if responder is None:
-            reply = _forced_reply(pos, ply, after_loser)
+        if len(pos) <= 3:
+            reply = unique_response(pos, ply)
         else:
-            reply = responder(after_loser)
+            reply = (solver or _default_solver()).solve(after_loser).principal_line[0]
         try:
             after_winner = after_loser.apply(reply)
         except IllegalMoveError as exc:

@@ -169,7 +169,7 @@ def test_allocation_result_validation():
     with pytest.raises(InvariantError):
         AllocationResult(Game([5, 3]), 1, "test")  # not a P position
     good = AllocationResult(Game([4, 4]), 0, "test")
-    assert good.to_json_dict()["construction"] == "test"
+    assert (good.n_winner, good.construction) == (0, "test")
 
 
 def test_verified_n_winner_matches_solver():

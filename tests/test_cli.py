@@ -77,6 +77,15 @@ def test_allocate_methods():
     assert code == 0 and text.splitlines()[0] == "[5,4,1]"
 
 
+def test_allocate_json():
+    code, text = run(["allocate", "12", "--format", "json"])
+    assert code == 0
+    d = json.loads(text)
+    assert d["game"] == [6, 4, 2] and d["n_winner"] == 3
+    assert d["construction"] == "equality-case3"
+    assert d["value"] == d["n_loser"] - d["n_winner"] and d["line"]
+
+
 def test_allocate_equality_miss_is_exit_1():
     code, _ = run(["allocate", "18", "--method", "equality"])
     assert code == 1
@@ -92,6 +101,12 @@ def test_simulate_text_and_value():
     assert code == 0
     assert text.endswith("loser 4\nwinner 2\nvalue 2\n")
     assert text.splitlines()[0] == "[3(-3 L), 2, 1]"
+
+
+def test_simulate_pile_cap_budget_exit_3():
+    # past three piles the winner's replies come from the configured solver
+    assert run(["simulate", "largest", "[1,2,4,7]", "--pile-cap", "3"])[0] == 3
+    assert run(["simulate", "largest", "[1,2,4,7]"])[0] == 0
 
 
 def test_simulate_rejects_n_position():
@@ -129,6 +144,16 @@ def test_bounds_table_and_point():
 def test_bounds_bad_params():
     assert run(["bounds", "standard-form-interval", "k=one"])[0] == 2
     assert run(["bounds", "unknown-sweep"])[0] == 2
+
+
+@pytest.mark.parametrize("claim,params", [
+    ("standard-form-interval", "a=1,m=2"),  # missing k, a not taken
+    ("standard-form-interval", "k=1,m=2,x=1"),  # x not taken
+    ("family-offset-lower", "k=1,m=2"),  # missing a
+    ("neighbor-transfer-interval", "k=1"),  # missing m
+])
+def test_bounds_point_with_wrong_keys_is_usage_error(claim, params):
+    assert run(["bounds", claim, params]) == (2, "")
 
 
 def test_verify_single_and_exit_codes():
@@ -185,7 +210,6 @@ def test_config_validation():
         CliConfig(budget_profile="huge")
     with pytest.raises(ValueError):
         CliConfig(pile_cap=0)
-    assert CliConfig().seedless
 
 
 def test_parser_covers_all_subcommands():

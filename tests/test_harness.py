@@ -1,17 +1,17 @@
 """Claim registry behaviour, report determinism, trace rendering."""
 
+import io
 import json
 
 import pytest
 
+from candynim.cli import dispatch
 from candynim.core import Game
 from candynim.errors import UnknownClaimError
 from candynim.harness import (
     ClaimReport,
     bound_rows,
-    bounds_csv,
     claim_ids,
-    conjecture_scan,
     exit_status,
     render_trace,
     report_lines,
@@ -48,13 +48,6 @@ def test_unknown_claim_raises():
         verify_claim("no-such-claim", "smoke")
     with pytest.raises(ValueError):
         verify_claim("value-nonneg", "warpspeed")
-
-
-def test_conjecture_scan_rejects_strict_claims():
-    with pytest.raises(UnknownClaimError):
-        conjecture_scan("value-nonneg", "smoke")
-    r = conjecture_scan("conj-minimizer-shape", "smoke")
-    assert r.status in ("pass", "discrepancy-noted")
 
 
 def test_smoke_statuses():
@@ -115,8 +108,12 @@ def test_claim_report_status_consistency():
 def test_bound_rows_and_csv():
     rows = bound_rows("standard-form-interval", "smoke")
     assert all(row["holds"] for row in rows)
-    csv_text = bounds_csv("standard-form-interval", "smoke")
-    lines = csv_text.strip().splitlines()
+    out = io.StringIO()
+    code = dispatch(
+        ["bounds", "standard-form-interval", "--profile", "smoke", "--format", "csv"], out=out
+    )
+    assert code == 0
+    lines = out.getvalue().strip().splitlines()
     assert lines[0] == "claim_id,params,lower,exact,upper,holds"
     # params contain commas, so the field must be quoted
     assert lines[1].startswith('standard-form-interval,"k=0,m=1"')

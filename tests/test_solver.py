@@ -123,6 +123,51 @@ def test_oracle_matches_memoized_small():
             assert s.oracle_solve(g) == s.solve(g)
 
 
+def test_oracle_never_touches_the_kernel(monkeypatch):
+    import candynim.solver as solver_mod
+
+    class NoKernel:
+        def __getattr__(self, name):
+            raise AssertionError(f"oracle reached the kernel for {name}")
+
+    monkeypatch.setattr(solver_mod, "_kernel", NoKernel())
+    g = Game([3, 2, 1])
+    assert Solver().oracle_solve(g) == Solver(engine="python").solve(g)
+
+
+def test_module_paths_share_one_default_solver(monkeypatch):
+    import candynim.solver as solver_mod
+    from candynim.allocation import equality_family
+    from candynim.bounds import standard_form_bounds
+    from candynim.harness import verify_claim
+
+    default = solver_mod._default_solver()
+    made, used = [], set()
+    init, run_solve, run_value = Solver.__init__, Solver.solve, Solver.value
+
+    def spy_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def spy_solve(self, *args, **kwargs):
+        used.add(id(self))
+        return run_solve(self, *args, **kwargs)
+
+    def spy_value(self, *args, **kwargs):
+        used.add(id(self))
+        return run_value(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "__init__", spy_init)
+    monkeypatch.setattr(Solver, "solve", spy_solve)
+    monkeypatch.setattr(Solver, "value", spy_value)
+    equality_family(12)
+    standard_form_bounds(2, 1)
+    verify_claim("small-family-value", "smoke")
+    solve(Game([1, 2, 3]))
+    assert made == []
+    assert used == {id(default)}
+
+
 def test_oracle_refuses_big_totals():
     from candynim.errors import BudgetError
 

@@ -3,7 +3,7 @@
 import pytest
 
 from candynim.core import Game, Ply, g_family_realize
-from candynim.errors import FamilyError, NoMovesError
+from candynim.errors import FamilyError, NoMovesError, PileCapError
 from candynim.strategies import (
     StrategyTrace,
     flip_flop_policy,
@@ -14,7 +14,7 @@ from candynim.strategies import (
     largest_pile_policy,
     simulate,
 )
-from candynim.solver import solve
+from candynim.solver import Solver, solve
 
 
 def _fractal(g):
@@ -141,12 +141,11 @@ def test_trace_validation_rejects_broken_chain():
         )
 
 
-def test_responder_override():
-    # a responder that mirrors duplicate piles, legal on [a,a]
-    def mirror(pos):
-        from candynim.core import winning_moves
-
-        return winning_moves(pos)[0]
-
-    t = simulate(largest_pile_policy, Game([4, 4]), responder=mirror)
-    assert t.strategic_value == 0
+def test_simulate_replies_on_the_given_solver():
+    # four piles, so the winner's replies come from the solver
+    g = Game([1, 2, 4, 7])
+    s = Solver(engine="python")
+    assert simulate(largest_pile_policy, g, s) == simulate(largest_pile_policy, g)
+    assert s.stats()[0]["entries"] > 0
+    with pytest.raises(PileCapError):
+        simulate(largest_pile_policy, g, Solver(pile_cap=3))
