@@ -7,10 +7,15 @@ deterministic: same claim, same profile, byte-identical output, with no
 timestamps or machine-specific content, so consecutive runs can be
 diffed.
 
-Three registry entries are marked as known discrepancies; they re-check
-statements whose stated constants disagree with direct simulation and
-report both sides instead of failing the run.  Conjecture scans likewise
-never fail the build: they collect supporting and violating instances.
+Every claim reports one way: it passes each instance it checks to a
+tally, with whether the instance holds and the fields that replay it,
+and returns the tally with its params.  The entry's kind alone decides
+what a failure means.  A ``claim`` fails the run.  The three
+``known-discrepancy`` entries re-check statements whose stated constants
+disagree with direct simulation, and the ``conjecture`` scans collect
+supporting and violating instances; both report ``discrepancy-noted``
+instead of failing.  Each bound sweep declares its points once, and the
+same per-point rows back both its claim and the ``bounds`` table.
 """
 
 from __future__ import annotations
@@ -103,34 +108,66 @@ class ClaimReport:
         }
 
 
-@dataclass(frozen=True)
-class _Outcome:
-    params: str
-    instances: int
-    failures: tuple[str, ...] = ()
-    extra_notes: str = ""
+class _Tally:
+    """What one claim run found: instances checked, failures, params, notes.
+
+    Each claim gets a fresh tally and returns it.  :meth:`check` counts
+    one instance and, when it does not hold, keeps a compact JSON record
+    of it, enough to replay it by hand.  :meth:`outcome` sets the params
+    and notes and closes the run.
+    """
+
+    def __init__(self):
+        self.instances = 0
+        self.failures: list[str] = []
+
+    def check(self, holds: bool, **failure) -> None:
+        self.instances += 1
+        if not holds:
+            self.failures.append(
+                json.dumps(failure, sort_keys=True, separators=(",", ":"), default=str)
+            )
+
+    def outcome(self, params: str, notes: str = "") -> _Tally:
+        self.params = params
+        self.notes = notes
+        return self
 
 
 @dataclass(frozen=True)
 class _Entry:
     statement: str
-    kind: str  # claim | known-discrepancy | conjecture
-    run: Callable[[str, Solver], _Outcome]
+    kind: str
+    run: Callable[[str, Solver, _Tally], _Tally]
+    sweep: Optional[tuple] = None  # bound sweeps only: (points, row)
 
 
 _REGISTRY: dict[str, _Entry] = {}
 
+# The status a failing instance gives each kind of registry entry.
+_STATUS_ON_FAILURE = {
+    "claim": STATUS_FAIL,
+    "known-discrepancy": STATUS_NOTED,
+    "conjecture": STATUS_NOTED,
+}
 
-def _register(claim_id: str, statement: str, kind: str = "claim"):
+
+def _register(claim_id: str, statement: str, kind: str = "claim", sweep=None):
+    if kind not in _STATUS_ON_FAILURE:
+        raise ValueError(
+            f"{claim_id}: unknown kind {kind!r}, expected one of {tuple(_STATUS_ON_FAILURE)}"
+        )
+
     def deco(fn):
-        _REGISTRY[claim_id] = _Entry(statement, kind, fn)
+        _REGISTRY[claim_id] = _Entry(statement, kind, fn, sweep)
         return fn
 
     return deco
 
 
-def _fail(**kw) -> str:
-    return json.dumps(kw, sort_keys=True, separators=(",", ":"), default=str)
+def _check_profile(profile: str) -> None:
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
 
 
 def _p_positions(max_total: int) -> Iterator[Game]:
@@ -140,6 +177,12 @@ def _p_positions(max_total: int) -> Iterator[Game]:
             yield Game(piles)
 
 
+def _p_sweep(profile: str) -> tuple[str, Iterator[Game]]:
+    """Params and positions of the all-P-positions sweep three claims share."""
+    cap = {"smoke": 10, "desk": 14, "extended": 20}[profile]
+    return f"all P positions, total<={cap}", _p_positions(cap)
+
+
 # ---------------------------------------------------------------- claims
 
 
@@ -147,46 +190,36 @@ def _p_positions(max_total: int) -> Iterator[Game]:
     "value-nonneg",
     "the loser never nets fewer candies than the winner in a zero-nim-sum game",
 )
-def _c_value_nonneg(profile: str, solver: Solver) -> _Outcome:
-    cap = {"smoke": 10, "desk": 14, "extended": 20}[profile]
-    failures = []
-    count = 0
-    for g in _p_positions(cap):
-        count += 1
+def _c_value_nonneg(profile: str, solver: Solver, t: _Tally) -> _Tally:
+    params, games = _p_sweep(profile)
+    for g in games:
         v = solver.solve(g).value
-        if v < 0:
-            failures.append(_fail(game=list(g.piles), value=v))
-    return _Outcome(f"all P positions, total<={cap}", count, tuple(failures))
+        t.check(v >= 0, game=g.piles, value=v)
+    return t.outcome(params)
 
 
 @_register(
     "odd-winning-count",
     "a position with nonzero nim-sum always has an odd number of winning plies",
 )
-def _c_odd_winning(profile: str, solver: Solver) -> _Outcome:
+def _c_odd_winning(profile: str, solver: Solver, t: _Tally) -> _Tally:
     cap = {"smoke": 8, "desk": 12, "extended": 16}[profile]
-    failures = []
-    count = 0
     for r in range(1, 6):
         for piles in combinations_with_replacement(range(1, cap + 1), r):
             g = Game(piles)
             if g.outcome is OutcomeClass.P:
                 continue
-            count += 1
             moves = winning_moves(g)
-            if len(moves) % 2 == 0:
-                failures.append(_fail(game=list(g.piles), winning=len(moves)))
-    return _Outcome(f"all N positions, <=5 piles, piles<={cap}", count, tuple(failures))
+            t.check(len(moves) % 2 == 1, game=g.piles, winning=len(moves))
+    return t.outcome(f"all N positions, <=5 piles, piles<={cap}")
 
 
 @_register(
     "unique-three-pile-reply",
     "after any loser ply in a 3-pile P position the winner has exactly one winning ply",
 )
-def _c_unique_reply(profile: str, solver: Solver) -> _Outcome:
+def _c_unique_reply(profile: str, solver: Solver, t: _Tally) -> _Tally:
     cap = {"smoke": 16, "desk": 32, "extended": 64}[profile]
-    failures = []
-    count = 0
     for a in range(1, cap + 1):
         for b in range(1, a + 1):
             c = a ^ b
@@ -195,23 +228,19 @@ def _c_unique_reply(profile: str, solver: Solver) -> _Outcome:
             g = Game([a, b, c])
             for i in range(len(g)):
                 for new in range(g[i]):
-                    count += 1
                     replies = winning_moves(g.apply(Ply(i, new)))
-                    if len(replies) != 1:
-                        failures.append(
-                            _fail(game=list(g.piles), pile=i, to=new, replies=len(replies))
-                        )
-    return _Outcome(f"3-pile P positions, piles<={cap}, every ply", count, tuple(failures))
+                    t.check(
+                        len(replies) == 1, game=g.piles, pile=i, to=new, replies=len(replies)
+                    )
+    return t.outcome(f"3-pile P positions, piles<={cap}, every ply")
 
 
 @_register(
     "semiratio-cap",
     "no turn of the family [a, B*m+x, B*m+(x XOR a)] has loser/winner ratio above 2a+1",
 )
-def _c_semiratio(profile: str, solver: Solver) -> _Outcome:
+def _c_semiratio(profile: str, solver: Solver, t: _Tally) -> _Tally:
     amax, mmax = {"smoke": (3, 2), "desk": (7, 3), "extended": (7, 3)}[profile]
-    failures = []
-    count = 0
     for a in range(1, amax + 1):
         bound = semiratio_bound(a)
         for m in range(0, mmax + 1):
@@ -224,30 +253,17 @@ def _c_semiratio(profile: str, solver: Solver) -> _Outcome:
                         ply = Ply(i, new)
                         child = g.apply(ply)
                         reply = unique_response(g, ply)
-                        turn = Turn(g, child, child.apply(reply))
-                        count += 1
-                        if semiratio(turn) > bound:
-                            failures.append(
-                                _fail(
-                                    game=list(g.piles),
-                                    pile=i,
-                                    to=new,
-                                    ratio=str(semiratio(turn)),
-                                )
-                            )
-    return _Outcome(
-        f"every turn of the family, a<={amax}, 0<=m<={mmax}, all x", count, tuple(failures)
-    )
+                        ratio = semiratio(Turn(g, child, child.apply(reply)))
+                        t.check(ratio <= bound, game=g.piles, pile=i, to=new, ratio=str(ratio))
+    return t.outcome(f"every turn of the family, a<={amax}, 0<=m<={mmax}, all x")
 
 
 @_register("small-family-value", "the game [1, 2m, 2m+1] is worth exactly 2m to the loser")
-def _c_small_family(profile: str, solver: Solver) -> _Outcome:
-    failures = []
+def _c_small_family(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for m in range(1, 33):
         v = solver.solve(Game([1, 2 * m, 2 * m + 1])).value
-        if v != 2 * m:
-            failures.append(_fail(m=m, value=v, expected=2 * m))
-    return _Outcome("1<=m<=32", 32, tuple(failures))
+        t.check(v == 2 * m, m=m, value=v, expected=2 * m)
+    return t.outcome("1<=m<=32")
 
 
 @_register(
@@ -255,22 +271,16 @@ def _c_small_family(profile: str, solver: Solver) -> _Outcome:
     "stated flip-flop yield (m-1)(2^(j+1)-2) vs direct simulation of the same strategy",
     kind="known-discrepancy",
 )
-def _c_flip_flop_value(profile: str, solver: Solver) -> _Outcome:
+def _c_flip_flop_value(profile: str, solver: Solver, t: _Tally) -> _Tally:
     jmax, mmax = {"smoke": (2, 3), "desk": (4, 8), "extended": (4, 8)}[profile]
-    failures = []
-    count = 0
     for j in range(1, jmax + 1):
         for m in range(1, mmax + 1):
             g = g_family_realize(2**j - 1, m, 0)
             sim = simulate(flip_flop_policy, g).strategic_value
             stated = (m - 1) * (2 ** (j + 1) - 2)
-            count += 1
-            if sim != stated:
-                failures.append(_fail(j=j, m=m, simulated=sim, stated=stated))
-    return _Outcome(
+            t.check(sim == stated, j=j, m=m, simulated=sim, stated=stated)
+    return t.outcome(
         f"families 2^j-1, j<={jmax}, m<={mmax}",
-        count,
-        tuple(failures),
         "simulation yields one full turn per unit of m, m*(2^(j+1)-2); at j=1 "
         "the simulated value matches the exact result 2m, the stated one does not; "
         "the simulation is ground truth here",
@@ -281,14 +291,13 @@ def _c_flip_flop_value(profile: str, solver: Solver) -> _Outcome:
     "family31-value",
     "the family [31, 32m, 32m+31] is worth 62(m-1)+98 in the checked range",
 )
-def _c_family31(profile: str, solver: Solver) -> _Outcome:
+def _c_family31(profile: str, solver: Solver, t: _Tally) -> _Tally:
     mmax = {"smoke": 2, "desk": 11, "extended": 11}[profile]
-    failures = []
     for m in range(1, mmax + 1):
         v = solver.solve(Game([31, 32 * m, 32 * m + 31])).value
-        if v != 62 * (m - 1) + 98:
-            failures.append(_fail(m=m, value=v, expected=62 * (m - 1) + 98))
-    return _Outcome(f"1<=m<={mmax}", mmax, tuple(failures))
+        expected = 62 * (m - 1) + 98
+        t.check(v == expected, m=m, value=v, expected=expected)
+    return t.outcome(f"1<=m<={mmax}")
 
 
 @_register(
@@ -296,9 +305,7 @@ def _c_family31(profile: str, solver: Solver) -> _Outcome:
     "closed-form fractal value vs direct simulation with the halving exponent map",
     kind="known-discrepancy",
 )
-def _c_fractal_closed(profile: str, solver: Solver) -> _Outcome:
-    failures = []
-    count = 0
+def _c_fractal_closed(profile: str, solver: Solver, t: _Tally) -> _Tally:
     sims = {}
     for k in range(1, 6):
         for m in range(1, 5):
@@ -306,14 +313,10 @@ def _c_fractal_closed(profile: str, solver: Solver) -> _Outcome:
             sim = simulate(lambda h: fractal_policy(half, h), g).strategic_value
             stated = fractal_closed_form(k, m)
             sims[(k, m)] = sim
-            count += 1
-            if sim != stated:
-                failures.append(_fail(k=k, m=m, simulated=sim, stated=stated))
+            t.check(sim == stated, k=k, m=m, simulated=sim, stated=stated)
     anchor = ", ".join(f"V_sim(2^{k}-1 family, m=1)={sims[(k, 1)]}" for k in range(1, 6))
-    return _Outcome(
+    return t.outcome(
         "k<=5, m<=4",
-        count,
-        tuple(failures),
         "both the m-prefactor and the summation disagree with the simulated "
         f"strategy; simulated anchors: {anchor}",
     )
@@ -323,27 +326,21 @@ def _c_fractal_closed(profile: str, solver: Solver) -> _Outcome:
     "fractal-beats-flip-flop",
     "with the halving map the fractal strategy nets at least the flip-flop on [2^k-1, 2^k, 2^(k+1)-1]",
 )
-def _c_fractal_beats(profile: str, solver: Solver) -> _Outcome:
-    failures = []
-    count = 0
+def _c_fractal_beats(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for k in range(2, 7):
         g = g_family_realize(2**k - 1, 1, 0)
         fr = simulate(lambda h: fractal_policy(half, h), g).strategic_value
         fl = simulate(flip_flop_policy, g).strategic_value
-        count += 1
-        if fr < fl:
-            failures.append(_fail(k=k, fractal=fr, flip_flop=fl))
-    return _Outcome("2<=k<=6, m=1", count, tuple(failures))
+        t.check(fr >= fl, k=k, fractal=fr, flip_flop=fl)
+    return t.outcome("2<=k<=6, m=1")
 
 
 @_register(
     "strategy-value-cap",
     "no scripted strategy nets the loser more than the exact game value",
 )
-def _c_strategy_cap(profile: str, solver: Solver) -> _Outcome:
+def _c_strategy_cap(profile: str, solver: Solver, t: _Tally) -> _Tally:
     jmax, mmax = {"smoke": (3, 3), "desk": (5, 6), "extended": (5, 6)}[profile]
-    failures = []
-    count = 0
     for j in range(1, jmax + 1):
         for m in range(1, mmax + 1):
             g = g_family_realize(2**j - 1, m, 0)
@@ -353,16 +350,8 @@ def _c_strategy_cap(profile: str, solver: Solver) -> _Outcome:
                 ("fractal-half", lambda h: fractal_policy(half, h)),
             ):
                 sim = simulate(policy, g).strategic_value
-                count += 1
-                if sim > exact:
-                    failures.append(
-                        _fail(strategy=name, j=j, m=m, simulated=sim, exact=exact)
-                    )
-    return _Outcome(
-        f"both strategies on families 2^j-1, j<={jmax}, m<={mmax}",
-        count,
-        tuple(failures),
-    )
+                t.check(sim <= exact, strategy=name, j=j, m=m, simulated=sim, exact=exact)
+    return t.outcome(f"both strategies on families 2^j-1, j<={jmax}, m<={mmax}")
 
 
 def _bound_row(claim_id: str, params: str, lower, exact: int, upper) -> dict:
@@ -377,14 +366,36 @@ def _bound_row(claim_id: str, params: str, lower, exact: int, upper) -> dict:
     }
 
 
-def _sweep_failures(rows: Iterator[dict]) -> tuple[int, tuple[str, ...]]:
-    """Row count and one replayable failure per row that does not hold."""
-    rows = list(rows)
-    keys = ("params", "lower", "exact", "upper")
-    failures = tuple(
-        _fail(**{k: r[k] for k in keys if r[k] != ""}) for r in rows if not r["holds"]
-    )
-    return len(rows), failures
+def _sweep(claim_id: str, statement: str, points, row, notes=None) -> None:
+    """Register a bound sweep: a claim that checks ``row`` at every point.
+
+    ``points(profile)`` gives the params description and the points.
+    ``row(solver, **point)`` gives the lower/exact/upper row at one point,
+    which ``bound_rows`` and ``bound_row`` also print.  ``notes(solver)``,
+    when given, adds to the report's notes.
+    """
+
+    def run(profile: str, solver: Solver, t: _Tally) -> _Tally:
+        params, pts = points(profile)
+        keys = ("params", "lower", "exact", "upper")
+        for point in pts:
+            r = row(solver, **point)
+            t.check(r["holds"], **{k: r[k] for k in keys if r[k] != ""})
+        return t.outcome(params, notes(solver) if notes else "")
+
+    _register(claim_id, statement, sweep=(points, row))(run)
+
+
+# The standard-form family is swept over the same k and m in every profile.
+_STANDARD_K = 2
+_STANDARD_M = 6
+
+
+def _standard_points(profile: str) -> tuple[str, list[dict]]:
+    points = [
+        {"k": k, "m": m} for k in range(_STANDARD_K + 1) for m in range(1, _STANDARD_M + 1)
+    ]
+    return f"k<={_STANDARD_K}, m<={_STANDARD_M}", points
 
 
 def _standard_row(solver: Solver, k: int, m: int) -> dict:
@@ -393,30 +404,25 @@ def _standard_row(solver: Solver, k: int, m: int) -> dict:
     return _bound_row("standard-form-interval", f"k={k},m={m}", iv.lower, exact, iv.upper)
 
 
-def _standard_rows(profile: str, solver: Solver) -> Iterator[dict]:
-    for k in range(0, 3):
-        for m in range(1, 7):
-            yield _standard_row(solver, k, m)
-
-
-@_register(
-    "standard-form-interval",
-    "the exact value of [2^(k+1)-1, 2^(k+1)m, ...] sits inside the stated window",
-)
-def _c_standard_interval(profile: str, solver: Solver) -> _Outcome:
-    count, failures = _sweep_failures(_standard_rows(profile, solver))
+def _standard_residuals(solver: Solver) -> str:
     residuals = ", ".join(
         f"b({k})={solver.solve(g_family_realize(2 ** (k + 1) - 1, 1, 0)).value}"
-        for k in range(0, 3)
+        for k in range(_STANDARD_K + 1)
     )
-    return _Outcome(
-        "k<=2, m<=6",
-        count,
-        failures,
+    return (
         "lower endpoint uses the solved fractal tail; the alternative endgame "
         f"constant floor 3(2^(k+1)-1) overshoots the measured residuals {residuals}, "
-        "so it is reported here instead of being folded into the window",
+        "so it is reported here instead of being folded into the window"
     )
+
+
+_sweep(
+    "standard-form-interval",
+    "the exact value of [2^(k+1)-1, 2^(k+1)m, ...] sits inside the stated window",
+    _standard_points,
+    _standard_row,
+    _standard_residuals,
+)
 
 
 @_register(
@@ -424,23 +430,29 @@ def _c_standard_interval(profile: str, solver: Solver) -> _Outcome:
     "the derivation-text upper bound (2^(k+1)-2)m + (2^(k+1)-2) - 2 + [k=0] vs exact values",
     kind="known-discrepancy",
 )
-def _c_standard_proof_variant(profile: str, solver: Solver) -> _Outcome:
-    failures = []
-    count = 0
-    for k in range(0, 3):
-        for m in range(1, 7):
-            exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, 0)).value
-            variant = (2 ** (k + 1) - 2) * m + (2 ** (k + 1) - 2) - 2 + (1 if k == 0 else 0)
-            count += 1
-            if exact > variant:
-                failures.append(_fail(k=k, m=m, exact=exact, variant_upper=variant))
-    return _Outcome(
-        "k<=2, m<=6",
-        count,
-        tuple(failures),
+def _c_standard_proof_variant(profile: str, solver: Solver, t: _Tally) -> _Tally:
+    params, points = _standard_points(profile)
+    for p in points:
+        k, m = p["k"], p["m"]
+        exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, 0)).value
+        variant = (2 ** (k + 1) - 2) * m + (2 ** (k + 1) - 2) - 2 + (1 if k == 0 else 0)
+        t.check(exact <= variant, k=k, m=m, exact=exact, variant_upper=variant)
+    return t.outcome(
+        params,
         "the statement form with 2^(k+2) holds (see standard-form-interval); this "
         "variant halves the coefficient and exact values overshoot it",
     )
+
+
+def _corollary_points(profile: str) -> tuple[str, list[dict]]:
+    amax, mmax = {"smoke": (3, 2), "desk": (7, 4), "extended": (7, 4)}[profile]
+    points = [
+        {"a": a, "m": m, "x": x}
+        for a in range(1, amax + 1)
+        for m in range(1, mmax + 1)
+        for x in range(2 ** (a.bit_length() - 1))
+    ]
+    return f"a<={amax}, m<={mmax}, all x", points
 
 
 def _corollary_row(solver: Solver, a: int, m: int, x: int = 0) -> dict:
@@ -450,22 +462,19 @@ def _corollary_row(solver: Solver, a: int, m: int, x: int = 0) -> dict:
     )
 
 
-def _corollary_rows(profile: str, solver: Solver) -> Iterator[dict]:
-    amax, mmax = {"smoke": (3, 2), "desk": (7, 4), "extended": (7, 4)}[profile]
-    for a in range(1, amax + 1):
-        for m in range(1, mmax + 1):
-            for x in range(2 ** (a.bit_length() - 1)):
-                yield _corollary_row(solver, a, m, x)
-
-
-@_register(
+_sweep(
     "family-offset-lower",
     "2a(m-1) + (x XOR a) + a - x never exceeds the exact family value",
+    _corollary_points,
+    _corollary_row,
 )
-def _c_corollary(profile: str, solver: Solver) -> _Outcome:
-    amax, mmax = {"smoke": (3, 2), "desk": (7, 4), "extended": (7, 4)}[profile]
-    count, failures = _sweep_failures(_corollary_rows(profile, solver))
-    return _Outcome(f"a<={amax}, m<={mmax}, all x", count, failures)
+
+
+def _general_points(profile: str) -> tuple[str, list[dict]]:
+    points = [{"k": 1, "m": m, "x": x} for m in range(1, 5) for x in (0, 1)]
+    if profile == "smoke":
+        return "k=1, m<=4, all x", points
+    return "k=1, m<=4, all x; plus k=4,m=1,x=10", points + [{"k": 4, "m": 1, "x": 10}]
 
 
 def _general_row(solver: Solver, k: int, m: int, x: int = 0) -> dict:
@@ -476,101 +485,72 @@ def _general_row(solver: Solver, k: int, m: int, x: int = 0) -> dict:
     )
 
 
-def _general_rows(profile: str, solver: Solver) -> Iterator[dict]:
-    cases = [(1, m, x) for m in range(1, 5) for x in (0, 1)]
-    if profile != "smoke":
-        cases.append((4, 1, 10))
-    for k, m, x in cases:
-        yield _general_row(solver, k, m, x)
-
-
-@_register(
+_sweep(
     "neighbor-transfer-interval",
     "offset families sit between their exactly-solved aligned neighbors, shifted by 2x",
+    _general_points,
+    _general_row,
 )
-def _c_general(profile: str, solver: Solver) -> _Outcome:
-    count, failures = _sweep_failures(_general_rows(profile, solver))
-    params = "k=1, m<=4, all x" + ("" if profile == "smoke" else "; plus k=4,m=1,x=10")
-    return _Outcome(params, count, failures)
 
 
 @_register(
     "half-pool-ply-cap",
     "no pile of a P position holds more than half of the candies",
 )
-def _c_half_pool(profile: str, solver: Solver) -> _Outcome:
-    cap = {"smoke": 10, "desk": 14, "extended": 20}[profile]
-    failures = []
-    count = 0
-    for g in _p_positions(cap):
-        count += 1
-        if g and 2 * g[0] > g.total:
-            failures.append(_fail(game=list(g.piles), total=g.total))
-    return _Outcome(f"all P positions, total<={cap}", count, tuple(failures))
+def _c_half_pool(profile: str, solver: Solver, t: _Tally) -> _Tally:
+    params, games = _p_sweep(profile)
+    for g in games:
+        t.check(2 * g[0] <= g.total, game=g.piles, total=g.total)
+    return t.outcome(params)
 
 
 @_register(
     "winner-log-floor",
     "the winner always collects at least floor(log2 N) candies from a P position",
 )
-def _c_log_floor(profile: str, solver: Solver) -> _Outcome:
-    cap = {"smoke": 10, "desk": 14, "extended": 20}[profile]
-    failures = []
-    count = 0
-    for g in _p_positions(cap):
-        count += 1
+def _c_log_floor(profile: str, solver: Solver, t: _Tally) -> _Tally:
+    params, games = _p_sweep(profile)
+    for g in games:
         nw = solver.solve(g).n_winner
-        if nw < log_lower_bound(g.total):
-            failures.append(_fail(game=list(g.piles), n_winner=nw))
-    return _Outcome(f"all P positions, total<={cap}", count, tuple(failures))
+        t.check(nw >= log_lower_bound(g.total), game=g.piles, n_winner=nw)
+    return t.outcome(params)
 
 
 @_register(
     "duplicate-pair-invariance",
     "appending an equal pile pair never changes the value",
 )
-def _c_duplicate_pairs(profile: str, solver: Solver) -> _Outcome:
+def _c_duplicate_pairs(profile: str, solver: Solver, t: _Tally) -> _Tally:
     cap = {"smoke": 8, "desk": 12, "extended": 12}[profile]
-    failures = []
-    count = 0
     for g in _p_positions(cap):
         base = solver.solve(g).value
         for a in range(1, 9):
-            padded = g + Game([a, a])
-            count += 1
-            v = solver.solve(padded).value
-            if v != base:
-                failures.append(_fail(game=list(g.piles), pair=a, value=v, base=base))
-    return _Outcome(f"P positions total<={cap}, pairs a<=8", count, tuple(failures))
+            v = solver.solve(g + Game([a, a])).value
+            t.check(v == base, game=g.piles, pair=a, value=v, base=base)
+    return t.outcome(f"P positions total<={cap}, pairs a<=8")
 
 
 @_register(
     "adjacent-xor-identity",
     "a XOR (a-1) is always one less than a power of two",
 )
-def _c_xor_adjacent(profile: str, solver: Solver) -> _Outcome:
-    failures = []
+def _c_xor_adjacent(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for a in range(1, 4097):
         r = xor_adjacent(a)
-        if r & (r + 1):
-            failures.append(_fail(a=a, result=r))
-    return _Outcome("1<=a<=4096", 4096, tuple(failures))
+        t.check((r & (r + 1)) == 0, a=a, result=r)
+    return t.outcome("1<=a<=4096")
 
 
 @_register(
     "power-chain-winner-count",
     "the chain [1, 2, ..., 2^(n-2), 2^(n-1)-1] concedes the winner exactly n-1 candies",
 )
-def _c_power_chain(profile: str, solver: Solver) -> _Outcome:
+def _c_power_chain(profile: str, solver: Solver, t: _Tally) -> _Tally:
     nmax = {"smoke": 5, "desk": 6, "extended": 7}[profile]
-    failures = []
-    count = 0
     for n in range(2, nmax + 1):
         r = best_power_arrangement(n, solver)
-        count += 1
-        if r.n_winner != n - 1:
-            failures.append(_fail(n=n, n_winner=r.n_winner))
-    return _Outcome(f"2<=n<={nmax}", count, tuple(failures))
+        t.check(r.n_winner == n - 1, n=n, n_winner=r.n_winner)
+    return t.outcome(f"2<=n<={nmax}")
 
 
 def _gapped_chain(n: int, k: int) -> Optional[Game]:
@@ -586,32 +566,27 @@ def _gapped_chain(n: int, k: int) -> Optional[Game]:
     "in a power chain with one gap, closing the gap from the odd pile is value-optimal "
     "and concedes exactly n-1",
 )
-def _c_skip_chain(profile: str, solver: Solver) -> _Outcome:
+def _c_skip_chain(profile: str, solver: Solver, t: _Tally) -> _Tally:
     nmax = {"smoke": 5, "desk": 6, "extended": 7}[profile]
-    failures = []
-    count = 0
     for n in range(3, nmax + 1):
         for k in range(1, n - 1):
             g = _gapped_chain(n, k)
             if g is None:
                 continue
-            count += 1
             ply = lemma_optimal_ply(g)
             optimal = solver.best_plies(g)
             nw = solver.solve(g).n_winner
             nw_after = solver.solve(g.apply(ply)).n_winner
-            if ply not in optimal or nw != n - 1 or nw_after != n - 1:
-                failures.append(
-                    _fail(
-                        game=list(g.piles),
-                        n=n,
-                        k=k,
-                        ply=[ply.pile_index, ply.new_size],
-                        n_winner=nw,
-                        after=nw_after,
-                    )
-                )
-    return _Outcome(f"3<=n<={nmax}, all k", count, tuple(failures))
+            t.check(
+                ply in optimal and nw == n - 1 and nw_after == n - 1,
+                game=g.piles,
+                n=n,
+                k=k,
+                ply=[ply.pile_index, ply.new_size],
+                n_winner=nw,
+                after=nw_after,
+            )
+    return t.outcome(f"3<=n<={nmax}, all k")
 
 
 @_register(
@@ -619,28 +594,16 @@ def _c_skip_chain(profile: str, solver: Solver) -> _Outcome:
     "the P positions whose winner haul meets the log2 floor are exactly the three "
     "closed-form arrangements",
 )
-def _c_equality_set(profile: str, solver: Solver) -> _Outcome:
+def _c_equality_set(profile: str, solver: Solver, t: _Tally) -> _Tally:
     cap = {"smoke": 16, "desk": 24, "extended": 32}[profile]
-    failures = []
-    count = 0
     for total in range(2, cap + 1, 2):
         floor = log_lower_bound(total)
         achievers = exhaustive_min_winner(total, max_piles=total, solver=solver)
         got = sorted(r.game.piles for r in achievers if r.n_winner == floor)
         expected = sorted(r.game.piles for r in equality_arrangements(total, solver))
-        count += 1
-        if got != expected:
-            failures.append(
-                _fail(
-                    total=total,
-                    achievers=[list(p) for p in got],
-                    expected=[list(p) for p in expected],
-                )
-            )
-    return _Outcome(
+        t.check(got == expected, total=total, achievers=got, expected=expected)
+    return t.outcome(
         f"every P position of every even total<={cap}",
-        count,
-        tuple(failures),
         "total 4 hits two arrangements, [1,1,1,1] and [2,2], although the source "
         "statement's side condition n>2 would exclude it; odd totals admit no "
         "zero-nim-sum arrangement at all",
@@ -651,57 +614,42 @@ def _c_equality_set(profile: str, solver: Solver) -> _Outcome:
     "five-pile-sqrt-cap",
     "a five-pile arrangement keeps the winner haul within ceil(1.5*sqrt(2N)) - 2",
 )
-def _c_five_pile(profile: str, solver: Solver) -> _Outcome:
+def _c_five_pile(profile: str, solver: Solver, t: _Tally) -> _Tally:
     cap = {"smoke": 40, "desk": 60, "extended": 60}[profile]
-    failures = []
-    count = 0
     for total in range(4, cap + 1, 2):
         r = five_pile_construct(total, solver)
-        count += 1
-        ok = (
-            r.game.total == total
-            and len(r.game) <= 5
-            and r.n_winner <= five_pile_upper(total)
+        upper = five_pile_upper(total)
+        t.check(
+            r.game.total == total and len(r.game) <= 5 and r.n_winner <= upper,
+            total=total,
+            game=r.game.piles,
+            n_winner=r.n_winner,
+            cap=upper,
         )
-        if not ok:
-            failures.append(
-                _fail(
-                    total=total,
-                    game=list(r.game.piles),
-                    n_winner=r.n_winner,
-                    cap=five_pile_upper(total),
-                )
-            )
-    return _Outcome(f"even totals 4..{cap}", count, tuple(failures))
+    return t.outcome(f"even totals 4..{cap}")
 
 
 @_register(
     "distinct-piles-winner-floor",
     "with p distinct piles the winner collects at least p-1 candies",
 )
-def _c_distinct_floor(profile: str, solver: Solver) -> _Outcome:
+def _c_distinct_floor(profile: str, solver: Solver, t: _Tally) -> _Tally:
     cap = {"smoke": 7, "desk": 9, "extended": 9}[profile]
-    failures = []
-    count = 0
     for r in range(2, 5):
         for piles in combinations(range(1, cap + 1), r):
             g = Game(piles)
             if g.outcome is not OutcomeClass.P:
                 continue
-            count += 1
             nw = solver.solve(g).n_winner
-            if nw < duplicate_free_lower(g):
-                failures.append(_fail(game=list(g.piles), n_winner=nw))
-    return _Outcome(
-        f"duplicate-free P positions, p<=4, piles<={cap}", count, tuple(failures)
-    )
+            t.check(nw >= duplicate_free_lower(g), game=g.piles, n_winner=nw)
+    return t.outcome(f"duplicate-free P positions, p<=4, piles<={cap}")
 
 
 @_register(
     "min-winner-examples",
     "exhaustive search over small totals returns the known minimizing arrangements",
 )
-def _c_min_winner(profile: str, solver: Solver) -> _Outcome:
+def _c_min_winner(profile: str, solver: Solver, t: _Tally) -> _Tally:
     expected = {
         2: ([(1, 1)], 1),
         10: ([(5, 4, 1)], 3),
@@ -709,84 +657,70 @@ def _c_min_winner(profile: str, solver: Solver) -> _Outcome:
         14: ([(7, 4, 2, 1)], 3),
         16: ([(7, 4, 2, 1, 1, 1)], 4),
     }
-    failures = []
-    count = 0
     for total, (games, nw) in sorted(expected.items()):
         rs = exhaustive_min_winner(total, solver=solver)
-        count += 1
         got = sorted(r.game.piles for r in rs)
-        if got != sorted(games) or rs[0].n_winner != nw:
-            failures.append(
-                _fail(total=total, got=[list(p) for p in got], n_winner=rs[0].n_winner)
-            )
-    return _Outcome("totals 2,10,12,14,16, <=6 piles", count, tuple(failures))
+        t.check(
+            got == sorted(games) and rs[0].n_winner == nw,
+            total=total,
+            got=got,
+            n_winner=rs[0].n_winner,
+        )
+    return t.outcome("totals 2,10,12,14,16, <=6 piles")
 
 
 @_register(
     "four-pile-worked-example",
     "[1,5,16,20] is worth 28 and the only optimal opening is 5 -> 2",
 )
-def _c_worked_example(profile: str, solver: Solver) -> _Outcome:
-    failures = []
+def _c_worked_example(profile: str, solver: Solver, t: _Tally) -> _Tally:
     g = Game([1, 5, 16, 20])
-    r = solver.solve(g)
-    if r.value != 28:
-        failures.append(_fail(game=[1, 5, 16, 20], value=r.value, expected=28))
+    v = solver.solve(g).value
+    t.check(v == 28, game=[1, 5, 16, 20], value=v, expected=28)
     plies = solver.best_plies(g)
-    if plies != (Ply(2, 2),):
-        failures.append(
-            _fail(game=[1, 5, 16, 20], best=[[p.pile_index, p.new_size] for p in plies])
-        )
+    t.check(
+        plies == (Ply(2, 2),),
+        game=[1, 5, 16, 20],
+        best=[[p.pile_index, p.new_size] for p in plies],
+    )
     v = solver.solve(Game([1, 2, 4, 7])).value
-    if v != 8:
-        failures.append(_fail(game=[1, 2, 4, 7], value=v, expected=8))
-    return _Outcome("one worked instance plus its endgame", 3, tuple(failures))
+    t.check(v == 8, game=[1, 2, 4, 7], value=v, expected=8)
+    return t.outcome("one worked instance plus its endgame")
 
 
 @_register(
     "four-pile-reduction",
     "splitting the small pile 3 into 1+2 never lowers the value of [3,4m,4m+3] or [3,4m+1,4m+2]",
 )
-def _c_four_pile_reduction(profile: str, solver: Solver) -> _Outcome:
+def _c_four_pile_reduction(profile: str, solver: Solver, t: _Tally) -> _Tally:
     mmax = {"smoke": 2, "desk": 6, "extended": 6}[profile]
-    failures = []
-    count = 0
     anchors = [([3, 4, 7], 6), ([1, 2, 4, 7], 8), ([3, 5, 6], 6), ([1, 2, 5, 6], 6)]
     for piles, expected in anchors:
-        count += 1
         v = solver.solve(Game(piles)).value
-        if v != expected:
-            failures.append(_fail(game=piles, value=v, expected=expected))
+        t.check(v == expected, game=piles, value=v, expected=expected)
     for m in range(1, mmax + 1):
         for three, four in (
             ([3, 4 * m, 4 * m + 3], [1, 2, 4 * m, 4 * m + 3]),
             ([3, 4 * m + 1, 4 * m + 2], [1, 2, 4 * m + 1, 4 * m + 2]),
         ):
-            count += 1
             v3 = solver.solve(Game(three)).value
             v4 = solver.solve(Game(four)).value
-            if v4 < v3:
-                failures.append(_fail(three=three, four=four, v3=v3, v4=v4))
-    return _Outcome(f"m<={mmax}, both offset patterns", count, tuple(failures))
+            t.check(v4 >= v3, three=three, four=four, v3=v3, v4=v4)
+    return t.outcome(f"m<={mmax}, both offset patterns")
 
 
 @_register(
     "split-counterexample",
     "[31,42,53] is worth 96 and its binary-expansion split [1,2,4,8,16,42,53] only 94",
 )
-def _c_split_counterexample(profile: str, solver: Solver) -> _Outcome:
-    failures = []
-    count = 1
+def _c_split_counterexample(profile: str, solver: Solver, t: _Tally) -> _Tally:
     v = solver.solve(Game([31, 42, 53])).value
-    if v != 96:
-        failures.append(_fail(game=[31, 42, 53], value=v, expected=96))
-    if profile != "smoke":
-        count = 2
-        v7 = solver.solve(Game([1, 2, 4, 8, 16, 42, 53])).value
-        if v7 != 94:
-            failures.append(_fail(game=[1, 2, 4, 8, 16, 42, 53], value=v7, expected=94))
-    params = "both games" if profile != "smoke" else "3-pile game only"
-    return _Outcome(params, count, tuple(failures))
+    t.check(v == 96, game=[31, 42, 53], value=v, expected=96)
+    if profile == "smoke":
+        return t.outcome("3-pile game only")
+    v7 = solver.solve(Game([1, 2, 4, 8, 16, 42, 53])).value
+    t.check(v7 == 94, game=[1, 2, 4, 8, 16, 42, 53], value=v7, expected=94)
+    return t.outcome("both games")
 
 
 # ----------------------------------------------------------- conjectures
@@ -822,7 +756,7 @@ def _bit_partitions(a: int) -> Iterator[tuple[int, ...]]:
     "smallest pile does not lower the value",
     kind="conjecture",
 )
-def _c_conj_split(profile: str, solver: Solver) -> _Outcome:
+def _c_conj_split(profile: str, solver: Solver, t: _Tally) -> _Tally:
     cap = {"smoke": 14, "desk": 24, "extended": 36}[profile]
     games = []
     for a in range(1, cap):
@@ -833,15 +767,12 @@ def _c_conj_split(profile: str, solver: Solver) -> _Outcome:
     games.sort(key=lambda g: g.piles)
     if profile != "smoke":
         games.append(Game([31, 42, 53]))
-    failures = []
-    count = 0
     special = ""
     for g in games:
         a = g[-1]
         decomps = list(_bit_partitions(a))
         if not decomps:
             continue
-        count += 1
         base = solver.solve(g).value
         scan_all = g.piles == (53, 42, 31)
         witness = None
@@ -857,14 +788,11 @@ def _c_conj_split(profile: str, solver: Solver) -> _Outcome:
                 witness = (parts, v)
                 if not scan_all:
                     break
-        if witness is None:
-            failures.append(
-                _fail(game=list(g.piles), value=base, decompositions=len(decomps))
-            )
+        t.check(witness is not None, game=g.piles, value=base, decompositions=len(decomps))
     params = f"distinct-pile 3-pile P positions, total<={cap}"
     if profile != "smoke":
         params += "; plus [31,42,53], every split"
-    return _Outcome(params, count, tuple(failures), special)
+    return t.outcome(params, special)
 
 
 @_register(
@@ -872,13 +800,12 @@ def _c_conj_split(profile: str, solver: Solver) -> _Outcome:
     "minimizing arrangements keep a pile of at least N/4 and need only O(log N) piles",
     kind="conjecture",
 )
-def _c_conj_shape(profile: str, solver: Solver) -> _Outcome:
+def _c_conj_shape(profile: str, solver: Solver, t: _Tally) -> _Tally:
     cap = {"smoke": 12, "desk": 20, "extended": 24}[profile]
     lines = []
-    count = 0
     for total in range(2, cap + 1, 2):
         rs = exhaustive_min_winner(total, solver=solver)
-        count += 1
+        t.instances += 1  # a shape scan: every total is observed, none fails
         big = max(max(r.game.piles) for r in rs)
         few = min(len(r.game) for r in rs)
         quarter = "yes" if 4 * big >= total else "no"
@@ -886,10 +813,8 @@ def _c_conj_shape(profile: str, solver: Solver) -> _Outcome:
             f"N={total}: min haul {rs[0].n_winner}, arrangements {len(rs)}, "
             f"largest pile {big} (>=N/4: {quarter}), fewest piles {few}"
         )
-    return _Outcome(
+    return t.outcome(
         f"even totals<={cap}, <=6 piles",
-        count,
-        (),
         "observed minimizer shapes: " + "; ".join(lines) + ". The source statement "
         "is phrased around maximizing the winner haul, which pairs [a,a] trivially; "
         "scanning minimizers follows the surrounding analysis",
@@ -901,29 +826,22 @@ def _c_conj_shape(profile: str, solver: Solver) -> _Outcome:
 
 def verify_claim(claim_id: str, profile: str = "desk", solver: Optional[Solver] = None) -> ClaimReport:
     """Run one registered claim sweep and wrap it in a report."""
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
+    _check_profile(profile)
     entry = _REGISTRY.get(claim_id)
     if entry is None:
         raise UnknownClaimError(
             f"no claim {claim_id!r}; known: {', '.join(sorted(_REGISTRY))}"
         )
-    outcome = entry.run(profile, solver or _default_solver())
-    if not outcome.failures:
-        status = STATUS_PASS
-    elif entry.kind == "claim":
-        status = STATUS_FAIL
-    else:
-        status = STATUS_NOTED
+    t = entry.run(profile, solver or _default_solver(), _Tally())
     notes = entry.statement
-    if outcome.extra_notes:
-        notes += "; " + outcome.extra_notes
+    if t.notes:
+        notes += "; " + t.notes
     return ClaimReport(
         claim_id=claim_id,
-        params=outcome.params,
-        instances=outcome.instances,
-        failures=outcome.failures,
-        status=status,
+        params=t.params,
+        instances=t.instances,
+        failures=tuple(t.failures),
+        status=_STATUS_ON_FAILURE[entry.kind] if t.failures else STATUS_PASS,
         notes=notes,
     )
 
@@ -965,25 +883,20 @@ def summary_table(reports) -> str:
     return "\n".join(rows) + "\n"
 
 
-_BOUND_SWEEPS = {
-    "standard-form-interval": (_standard_rows, _standard_row),
-    "family-offset-lower": (_corollary_rows, _corollary_row),
-    "neighbor-transfer-interval": (_general_rows, _general_row),
-}
-
-
 def _bound_sweep(claim_id: str) -> tuple:
-    if claim_id not in _BOUND_SWEEPS:
-        raise UnknownClaimError(
-            f"no bound sweep {claim_id!r}; known: {', '.join(sorted(_BOUND_SWEEPS))}"
-        )
-    return _BOUND_SWEEPS[claim_id]
+    entry = _REGISTRY.get(claim_id)
+    if entry is None or entry.sweep is None:
+        known = sorted(c for c, e in _REGISTRY.items() if e.sweep)
+        raise UnknownClaimError(f"no bound sweep {claim_id!r}; known: {', '.join(known)}")
+    return entry.sweep
 
 
 def bound_rows(claim_id: str, profile: str = "desk", solver: Optional[Solver] = None) -> list[dict]:
     """The lower/exact/upper table behind one of the bound-sweep claims."""
-    rows, _ = _bound_sweep(claim_id)
-    return list(rows(profile, solver or _default_solver()))
+    _check_profile(profile)
+    points, row = _bound_sweep(claim_id)
+    s = solver or _default_solver()
+    return [row(s, **point) for point in points(profile)[1]]
 
 
 def bound_row(claim_id: str, point: dict[str, int], solver: Solver) -> dict:

@@ -123,6 +123,22 @@ def _solved(game: Game, value_fn, entry_fn) -> SolveResult:
     return SolveResult(game, value, n_loser, n_winner, tuple(line))
 
 
+def _with_room(total: int, fn, *args):
+    """``fn(*args)`` with Python stack room for a game of ``total`` candies.
+
+    The Python engine recurses about two frames per candy.  The recursion
+    limit is raised for the call only and restored after it, so the host
+    process keeps its own.
+    """
+    need = 2 * total + 1000
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(need if need > old else old)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def _split(total: int, value: int) -> tuple[int, int]:
     if (total + value) % 2:
         raise InvariantError(f"value {value} has wrong parity for total {total}")
@@ -162,12 +178,9 @@ class Solver:
 
     # -- engine plumbing ------------------------------------------------
 
-    def _py_engine(self, total: int) -> PyEngine:
+    def _py_engine(self) -> PyEngine:
         if self._py is None:
             self._py = PyEngine(self.memo_cap)
-        need = 2 * total + 1000
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
         return self._py
 
     def _native_engine(self, slots: int):
@@ -180,7 +193,7 @@ class Solver:
     def _pick(self, piles: tuple):
         total = sum(piles)
         if self.engine == "python":
-            return self._py_engine(total)
+            return self._py_engine()
         fits = (
             _kernel is not None
             and packable(piles, len(piles))
@@ -198,7 +211,7 @@ class Solver:
                 f"{len(piles)} piles up to {max(piles)} do not fit a packed "
                 "64-bit key; use engine='python'"
             )
-        return self._py_engine(total)
+        return self._py_engine()
 
     def _check_caps(self, game: Game) -> None:
         if game and game[0] > self.pile_cap:
@@ -214,7 +227,7 @@ class Solver:
         self._check_caps(game)
         if not game:
             return 0
-        return self._pick(game.piles).solve_value(game.piles)
+        return _with_room(game.total, self._pick(game.piles).solve_value, game.piles)
 
     def solve(self, game: Game, workers: int = 1) -> SolveResult:
         """Value, candy split, and an optimal line.
@@ -229,7 +242,7 @@ class Solver:
         if workers > 1:
             return self._solve_parallel(game, workers)
         eng = self._pick(game.piles)
-        return _solved(game, eng.solve_value, eng.best_entry)
+        return _with_room(game.total, _solved, game, eng.solve_value, eng.best_entry)
 
     def best_plies(self, game: Game) -> tuple[Ply, ...]:
         """Every value-optimal ply for the player to move, ascending.
@@ -241,25 +254,7 @@ class Solver:
         self._check_caps(game)
         if not game:
             return ()
-        eng = self._pick(game.piles)
-        piles = game.piles
-        g = game.grundy
-        best_v = None
-        out: list[tuple] = []
-        if g == 0:
-            for i, p in enumerate(piles):
-                for new in range(p):
-                    child = _child(piles, i, new)
-                    v = (p - new) + (eng.solve_value(child) if child else 0)
-                    best_v, out = _collect(best_v, out, v, i, new, maximize=True)
-        else:
-            for i, p in enumerate(piles):
-                target = g ^ p
-                if target < p:
-                    child = _child(piles, i, target)
-                    v = (eng.solve_value(child) if child else 0) - (p - target)
-                    best_v, out = _collect(best_v, out, v, i, target, maximize=False)
-        return tuple(Ply(i, new) for i, new in sorted(out))
+        return _with_room(game.total, _best_plies, self._pick(game.piles), game)
 
     def oracle_solve(self, game: Game, max_total: int = DEFAULT_ORACLE_CAP) -> SolveResult:
         """Solve by memoless reference recursion (cross-check path).
@@ -320,6 +315,27 @@ class Solver:
         line = (Ply(i, new),) + tuple(Ply(a, b) for a, b in child_line)
         n_loser, n_winner = _split(game.total, value)
         return SolveResult(game, value, n_loser, n_winner, line)
+
+
+def _best_plies(eng, game: Game) -> tuple[Ply, ...]:
+    piles = game.piles
+    g = game.grundy
+    best_v = None
+    out: list[tuple] = []
+    if g == 0:
+        for i, p in enumerate(piles):
+            for new in range(p):
+                child = _child(piles, i, new)
+                v = (p - new) + (eng.solve_value(child) if child else 0)
+                best_v, out = _collect(best_v, out, v, i, new, maximize=True)
+    else:
+        for i, p in enumerate(piles):
+            target = g ^ p
+            if target < p:
+                child = _child(piles, i, target)
+                v = (eng.solve_value(child) if child else 0) - (p - target)
+                best_v, out = _collect(best_v, out, v, i, target, maximize=False)
+    return tuple(Ply(i, new) for i, new in sorted(out))
 
 
 def _collect(best_v, out, v, i, new, maximize):

@@ -5,6 +5,7 @@ interval membership, at the sweep sizes the package commits to.  Run
 with ``pytest -s tests/test_acceptance.py`` to see the criterion lines.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -46,6 +47,10 @@ from candynim.strategies import (
 )
 
 _solver = Solver()
+
+# sha256 of `verify all --profile desk --format json`, pinned so that a
+# deterministic change to the report fails AC10 too
+DESK_REPORT_SHA256 = "f5d5572468b51a10cf523c28a220cef95d7ee1e43ae38acb9e6677bbe8c7f8e3"
 
 
 def _criterion(name, ok, detail=""):
@@ -296,6 +301,7 @@ def test_ac10_verify_all_determinism(tmp_path):
         runs[0].returncode == 0
         and runs[1].returncode == 0
         and runs[0].stdout == runs[1].stdout
+        and hashlib.sha256(runs[0].stdout).hexdigest() == DESK_REPORT_SHA256
         and len(runs[0].stdout.splitlines()) == 29
         and all(json.loads(line) for line in runs[0].stdout.splitlines())
     )

@@ -1,5 +1,6 @@
 """Claim registry behaviour, report determinism, trace rendering."""
 
+import hashlib
 import io
 import json
 
@@ -10,6 +11,7 @@ from candynim.core import Game
 from candynim.errors import UnknownClaimError
 from candynim.harness import (
     ClaimReport,
+    _register,
     bound_rows,
     claim_ids,
     exit_status,
@@ -33,6 +35,12 @@ KNOWN_DISCREPANCIES = {
     "standard-form-proof-variant",
 }
 CONJECTURES = {"conj-split-improves", "conj-minimizer-shape"}
+BOUND_SWEEPS = ("standard-form-interval", "family-offset-lower", "neighbor-transfer-interval")
+
+# sha256 of the smoke outputs: comparing a run with a second run of the same
+# code cannot catch a change that is deterministic, so the bytes are pinned
+SMOKE_REPORT_SHA256 = "5b6704ca7a5f9a11d22c2d186f6b43d977f98ebcb55787c91314d777d1940b76"
+SMOKE_BOUNDS_SHA256 = "7e9bf564080e7226b60e5cb1523708389dbdc6d4963d619e167e83a007793748"
 
 
 def test_registry_is_complete_and_sorted():
@@ -48,6 +56,20 @@ def test_unknown_claim_raises():
         verify_claim("no-such-claim", "smoke")
     with pytest.raises(ValueError):
         verify_claim("value-nonneg", "warpspeed")
+
+
+def test_unknown_profile_raises_everywhere():
+    with pytest.raises(ValueError):
+        run_all("warpspeed")
+    for claim in BOUND_SWEEPS:
+        with pytest.raises(ValueError):
+            bound_rows(claim, "warpspeed")
+
+
+def test_register_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        _register("x", "s", kind="claims")
+    assert "x" not in claim_ids()
 
 
 def test_smoke_statuses():
@@ -78,6 +100,7 @@ def test_report_lines_are_stable():
     a = report_lines(run_all("smoke"))
     b = report_lines(run_all("smoke"))
     assert a == b
+    assert hashlib.sha256(a.encode()).hexdigest() == SMOKE_REPORT_SHA256
     for line in a.strip().splitlines():
         parsed = json.loads(line)
         assert set(parsed) == {
@@ -119,6 +142,16 @@ def test_bound_rows_and_csv():
     assert lines[1].startswith('standard-form-interval,"k=0,m=1"')
     with pytest.raises(UnknownClaimError):
         bound_rows("value-nonneg", "smoke")
+
+
+def test_bound_sweep_bytes_are_pinned():
+    h = hashlib.sha256()
+    for claim in BOUND_SWEEPS:
+        for fmt in ("text", "csv", "json"):
+            out = io.StringIO()
+            assert dispatch(["bounds", claim, "--profile", "smoke", "--format", fmt], out=out) == 0
+            h.update(out.getvalue().encode())
+    assert h.hexdigest() == SMOKE_BOUNDS_SHA256
 
 
 def test_conjecture_scan_records_the_nonwitness():

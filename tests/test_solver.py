@@ -1,5 +1,8 @@
 """Exact solver: frozen values, engine parity, caps, determinism."""
 
+import inspect
+import sys
+
 import pytest
 
 from candynim.core import Game, Ply
@@ -183,6 +186,21 @@ def test_pile_cap_enforced():
 def test_memo_cap_enforced():
     with pytest.raises(MemoBudgetError):
         Solver(memo_cap=2, engine="python").solve(Game([4, 5, 6, 7]))
+
+
+def test_python_engine_restores_the_recursion_limit():
+    host = sys.getrecursionlimit()
+    s = Solver(engine="python")
+    assert s.value(Game([50000])) == -50000
+    assert sys.getrecursionlimit() == host
+    # a game deeper than the caller's limit still solves, and the limit comes back
+    low = len(inspect.stack(0)) + 30
+    sys.setrecursionlimit(low)
+    try:
+        assert Solver(engine="python").value(Game([1] * 60)) == 0
+        assert sys.getrecursionlimit() == low
+    finally:
+        sys.setrecursionlimit(host)
 
 
 def test_stats_counters_move():
