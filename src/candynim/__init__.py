@@ -21,7 +21,6 @@ from .core import (
     nim_sum,
     reduce_duplicates,
     semiratio,
-    single_turn_value,
     unique_response,
     winning_moves,
     xor_adjacent,
@@ -49,7 +48,6 @@ __all__ = [
     "oracle_solve",
     "reduce_duplicates",
     "semiratio",
-    "single_turn_value",
     "solve",
     "unique_response",
     "value",

@@ -258,8 +258,8 @@ class Turn:
             raise IllegalMoveError(
                 f"the winner must restore a P position, got {self.after_winner}"
             )
-        _check_one_ply(self.before, self.after_loser)
-        _check_one_ply(self.after_loser, self.after_winner)
+        _pile_change(self.before, self.after_loser)
+        _pile_change(self.after_loser, self.after_winner)
 
     @property
     def loser_take(self) -> int:
@@ -270,28 +270,20 @@ class Turn:
         return self.after_loser.total - self.after_winner.total
 
 
-def _check_one_ply(g: Game, h: Game) -> None:
-    """Require that h arises from g by reducing exactly one pile."""
-    gone = Counter(g.piles)
-    gone.subtract(Counter(h.piles))
-    plus = [(s, c) for s, c in gone.items() if c > 0]
-    minus = [(s, c) for s, c in gone.items() if c < 0]
-    if len(plus) == 1 and plus[0][1] == 1 and not minus:
-        return  # one pile emptied
-    if (
-        len(plus) == 1
-        and plus[0][1] == 1
-        and len(minus) == 1
-        and minus[0][1] == -1
-        and minus[0][0] < plus[0][0]
-    ):
-        return  # one pile shrunk
+def _pile_change(g: Game, h: Game) -> tuple[int, int]:
+    """``(old_size, new_size)`` of the one pile that shrank from g to h.
+
+    ``new_size`` is 0 when the pile emptied.  Raises IllegalMoveError
+    unless h arises from g by reducing exactly one pile.
+    """
+    gone = Counter(g.piles) - Counter(h.piles)
+    came = Counter(h.piles) - Counter(g.piles)
+    if gone.total() == 1 and came.total() <= 1:
+        (old,) = gone
+        new = next(iter(came), 0)
+        if new < old:
+            return old, new
     raise IllegalMoveError(f"{h} is not one ply away from {g}")
-
-
-def single_turn_value(turn: Turn) -> int:
-    """Loser's haul minus winner's haul over one turn."""
-    return turn.loser_take - turn.winner_take
 
 
 def semiratio(turn: Turn) -> Fraction:
@@ -365,11 +357,6 @@ class GFamily:
     @property
     def k(self) -> int:
         return self.a.bit_length() - 1
-
-    @property
-    def is_standard(self) -> bool:
-        """True when a = 2**(k+1) - 1 and x = 0."""
-        return self.x == 0 and (self.a & (self.a + 1)) == 0
 
     def realize(self) -> Game:
         block = 2 ** (self.k + 1)

@@ -48,6 +48,7 @@ from .core import (
     OutcomeClass,
     Ply,
     Turn,
+    _pile_change,
     g_family_realize,
     semiratio,
     unique_response,
@@ -930,26 +931,16 @@ def render_trace(t: StrategyTrace) -> str:
     pos = t.turns[0].before
     for turn in t.turns:
         for mover, nxt in (("L", turn.after_loser), ("W", turn.after_winner)):
-            old, new = _column_step(cols, pos, nxt)
+            old, new = _pile_change(pos, nxt)
+            col = cols.index(old)
             cells = []
             for idx, size in enumerate(cols):
-                if idx == old:
+                if idx == col:
                     cells.append(f"{size}(-{size - new} {mover})")
                 else:
                     cells.append(str(size))
             lines.append("[" + ", ".join(cells) + "]")
-            cols[old] = new
+            cols[col] = new
             pos = nxt
     return "\n".join(lines) + "\n"
 
-
-def _column_step(cols: list[int], pos: Game, nxt: Game) -> tuple[int, int]:
-    """Locate which fixed column shrank between two canonical positions."""
-    from collections import Counter
-
-    gone = Counter(pos.piles)
-    gone.subtract(Counter(nxt.piles))
-    old_size = next(s for s, c in gone.items() if c > 0)
-    new_size = next((s for s, c in gone.items() if c < 0), 0)
-    idx = cols.index(old_size)
-    return idx, new_size

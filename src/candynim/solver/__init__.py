@@ -29,7 +29,7 @@ from ..errors import (
     InvariantError,
     PileCapError,
 )
-from ._python import PyEngine, _child, oracle_entry, oracle_value
+from ._python import PyEngine, _child, _plies, oracle_entry, oracle_value
 
 try:
     from . import _kernel
@@ -43,6 +43,9 @@ DEFAULT_ORACLE_CAP = 16
 # The kernel recurses on the C stack, one frame per candy, so very tall
 # games stay on the Python engine (heap frames) under auto selection.
 NATIVE_DEPTH_CAP = 10_000
+
+# The largest limit sys.setrecursionlimit accepts (it takes a C int).
+_MAX_RECURSION_LIMIT = 2**31 - 1
 
 _KEY_BITS = 62
 _MAX_SLOTS = 31  # must match the kernel's buffer width
@@ -90,19 +93,15 @@ class SolveResult:
             raise InvariantError(f"optimal line stops early at {pos}")
 
     def to_json_dict(self) -> dict:
-        line = []
-        pos = self.game
-        for ply in self.principal_line:
-            line.append(
-                {"pile": ply.pile_index, "from": pos[ply.pile_index], "to": ply.new_size}
-            )
-            pos = pos.apply(ply)
         return {
             "game": list(self.game.piles),
             "value": self.value,
             "n_loser": self.n_loser,
             "n_winner": self.n_winner,
-            "line": line,
+            "line": [
+                {"pile": ply.pile_index, "from": pos[ply.pile_index], "to": ply.new_size}
+                for pos, _, ply, _ in self.steps()
+            ],
         }
 
 
@@ -128,9 +127,11 @@ def _with_room(total: int, fn, *args):
 
     The Python engine recurses about two frames per candy.  The recursion
     limit is raised for the call only and restored after it, so the host
-    process keeps its own.
+    process keeps its own.  The request is clamped at
+    ``_MAX_RECURSION_LIMIT``.
     """
     need = 2 * total + 1000
+    need = need if need < _MAX_RECURSION_LIMIT else _MAX_RECURSION_LIMIT
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(need if need > old else old)
     try:
@@ -275,7 +276,16 @@ class Solver:
         return _solved(game, oracle_value, oracle_entry)
 
     def stats(self) -> list[dict]:
-        """Per-engine table statistics, native tables first."""
+        """Per-engine table statistics, native tables first.
+
+        One row per table, with ``entries``, ``hits``, ``misses``, ``cap``
+        and ``engine`` (``"python"``, or ``"native[w]"`` for the kernel's
+        table of root width ``w``).  In both engines ``entries`` counts the
+        loser-to-move positions stored, and ``hits`` and ``misses`` count
+        the table probes of the search, one each time it reaches a
+        loser-to-move position.  Reading a root's stored entry back for its
+        principal ply counts as neither.
+        """
         out = []
         for slots in sorted(self._native):
             s = self._native[slots].stats()
@@ -290,10 +300,7 @@ class Solver:
     def _solve_parallel(self, game: Game, workers: int) -> SolveResult:
         piles = game.piles
         g = game.grundy
-        if g == 0:
-            plies = [(i, new) for i, p in enumerate(piles) for new in range(p)]
-        else:
-            plies = [(i, g ^ p) for i, p in enumerate(piles) if (g ^ p) < p]
+        plies = list(_plies(piles, g))
         tasks = [
             (_child(piles, i, new), self.engine, self.pile_cap, self.memo_cap)
             for i, new in plies
@@ -318,32 +325,20 @@ class Solver:
 
 
 def _best_plies(eng, game: Game) -> tuple[Ply, ...]:
+    """Every ply of the best score, scored as in :func:`oracle_entry`."""
     piles = game.piles
     g = game.grundy
-    best_v = None
+    sign = 1 if g == 0 else -1
+    best = None
     out: list[tuple] = []
-    if g == 0:
-        for i, p in enumerate(piles):
-            for new in range(p):
-                child = _child(piles, i, new)
-                v = (p - new) + (eng.solve_value(child) if child else 0)
-                best_v, out = _collect(best_v, out, v, i, new, maximize=True)
-    else:
-        for i, p in enumerate(piles):
-            target = g ^ p
-            if target < p:
-                child = _child(piles, i, target)
-                v = (eng.solve_value(child) if child else 0) - (p - target)
-                best_v, out = _collect(best_v, out, v, i, target, maximize=False)
-    return tuple(Ply(i, new) for i, new in sorted(out))
-
-
-def _collect(best_v, out, v, i, new, maximize):
-    if best_v is None or (v > best_v if maximize else v < best_v):
-        return v, [(i, new)]
-    if v == best_v:
-        out.append((i, new))
-    return best_v, out
+    for i, new in _plies(piles, g):
+        child = _child(piles, i, new)
+        score = piles[i] - new + sign * (eng.solve_value(child) if child else 0)
+        if best is None or score > best:
+            best, out = score, [(i, new)]
+        elif score == best:
+            out.append((i, new))
+    return tuple(Ply(i, new) for i, new in out)
 
 
 def _solve_child_task(args):

@@ -10,7 +10,13 @@ Only loser-to-move (P) positions are memoized.  A winner position's
 value is a fold over at most one winning reply per pile, so caching it
 would buy back a handful of dict lookups at the price of storing the far
 larger N-side state space; the side to move is therefore implicit in
-every table key.
+every table key.  The table is a plain dict on the engine, bounded by
+its entry cap.
+
+The oracle is one memoless function, :func:`oracle_entry`, which walks
+the mover's plies once for either side; :func:`oracle_value` is its
+first field.  It shares only :func:`_child` with the engine, so it stays
+an independent check of the memoized search.
 
 Ties are broken identically everywhere, including in the oracle and the
 native kernel: among plies of equal value, prefer the smallest
@@ -20,6 +26,7 @@ canonical descending tuples.
 
 from __future__ import annotations
 
+from ..core import nim_sum
 from ..errors import InvariantError, MemoBudgetError, NoMovesError
 
 
@@ -31,59 +38,24 @@ def _child(piles: tuple, i: int, new: int) -> tuple:
     return tuple(sorted(rest + (new,), reverse=True))
 
 
-class TranspositionTable:
-    """Bounded memo of solved loser-to-move positions.
-
-    Maps a canonical pile tuple to ``(value, ply_index, new_size)`` for
-    the tie-break-optimal ply.  Raises :class:`MemoBudgetError` instead
-    of growing past ``cap`` entries.
-    """
-
-    __slots__ = ("cap", "hits", "misses", "_entries")
-
-    def __init__(self, cap: int):
-        if cap < 1:
-            raise ValueError(f"table cap must be positive, got {cap}")
-        self.cap = cap
-        self.hits = 0
-        self.misses = 0
-        self._entries: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, piles: tuple):
-        entry = self._entries.get(piles)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
-
-    def put(self, piles: tuple, entry: tuple) -> None:
-        if len(self._entries) >= self.cap:
-            raise MemoBudgetError(
-                f"transposition table reached its cap of {self.cap} entries; "
-                "raise memo_cap to solve this position"
-            )
-        self._entries[piles] = entry
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "cap": self.cap,
-        }
-
-
 class PyEngine:
-    """Memoized exact engine over canonical pile tuples."""
+    """Memoized exact engine over canonical pile tuples.
+
+    ``table`` is a plain dict from each solved loser-to-move position to
+    ``(value, ply_index, new_size)`` of its tie-break-optimal ply.  It
+    raises :class:`MemoBudgetError` instead of growing past ``cap``
+    entries; ``hits`` and ``misses`` count the probes of :meth:`_search`.
+    """
 
     name = "python"
 
     def __init__(self, memo_cap: int):
-        self.table = TranspositionTable(memo_cap)
+        if memo_cap < 1:
+            raise ValueError(f"table cap must be positive, got {memo_cap}")
+        self.cap = memo_cap
+        self.hits = 0
+        self.misses = 0
+        self.table: dict = {}
 
     def solve_value(self, piles: tuple) -> int:
         """Exact value of any position (either side to move)."""
@@ -100,7 +72,9 @@ class PyEngine:
         # piles is a nonempty P position: loser to move, maximizing.
         entry = self.table.get(piles)
         if entry is not None:
+            self.hits += 1
             return entry[0]
+        self.misses += 1
         best_v = None
         best_key = None
         for i, p in enumerate(piles):
@@ -116,7 +90,12 @@ class PyEngine:
                 if best_v is None or v > best_v or (v == best_v and (child, i, new) < best_key):
                     best_v = v
                     best_key = (child, i, new)
-        self.table.put(piles, (best_v, best_key[1], best_key[2]))
+        if len(self.table) >= self.cap:
+            raise MemoBudgetError(
+                f"transposition table reached its cap of {self.cap} entries; "
+                "raise memo_cap to solve this position"
+            )
+        self.table[piles] = (best_v, best_key[1], best_key[2])
         return best_v
 
     def _n_value(self, piles: tuple, g: int) -> int:
@@ -142,8 +121,7 @@ class PyEngine:
             g ^= p
         if g == 0:
             self._search(piles)
-            v, i, new = self.table.get(piles)
-            return v, i, new
+            return self.table[piles]
         best = None
         for i, p in enumerate(piles):
             target = g ^ p
@@ -156,58 +134,49 @@ class PyEngine:
         return best[0], best[2], best[3]
 
     def stats(self) -> dict:
-        out = self.table.stats()
-        out["engine"] = self.name
-        return out
+        return {
+            "entries": len(self.table),
+            "hits": self.hits,
+            "misses": self.misses,
+            "cap": self.cap,
+            "engine": self.name,
+        }
+
+
+def _plies(piles: tuple, g: int):
+    """The mover's candidate plies as ``(pile_index, new_size)``, ascending.
+
+    ``g`` is the nim-sum of ``piles``.  The loser (``g == 0``) may play
+    every ply; the winner only the plies that restore a zero nim-sum.
+    """
+    for i, p in enumerate(piles):
+        if g == 0:
+            for new in range(p):
+                yield i, new
+        elif g ^ p < p:
+            yield i, g ^ p
 
 
 def oracle_value(piles: tuple) -> int:
-    """Memoless reference recursion; exponential, for cross-checking only."""
-    if not piles:
-        return 0
-    g = 0
-    for p in piles:
-        g ^= p
-    best = None
-    if g == 0:
-        for i, p in enumerate(piles):
-            for new in range(p):
-                v = (p - new) + oracle_value(_child(piles, i, new))
-                if best is None or v > best:
-                    best = v
-    else:
-        for i, p in enumerate(piles):
-            target = g ^ p
-            if target < p:
-                v = oracle_value(_child(piles, i, target)) - (p - target)
-                if best is None or v < best:
-                    best = v
-    return best
+    """Memoless reference value; exponential, for cross-checking only."""
+    return oracle_entry(piles)[0] if piles else 0
 
 
 def oracle_entry(piles: tuple) -> tuple:
-    """Oracle twin of :meth:`PyEngine.best_entry`, same tie-break."""
+    """Oracle twin of :meth:`PyEngine.best_entry`, same tie-break.
+
+    Each ply scores the candies it takes, plus the child's value when the
+    loser moves or minus it when the winner moves, so both sides maximize
+    the score and the value is the best score, negated for the winner.
+    """
     if not piles:
         raise NoMovesError("the empty game has no moves")
-    g = 0
-    for p in piles:
-        g ^= p
+    g = nim_sum(piles)
+    sign = 1 if g == 0 else -1
     best = None
-    if g == 0:
-        for i, p in enumerate(piles):
-            for new in range(p):
-                child = _child(piles, i, new)
-                v = (p - new) + oracle_value(child)
-                cand = (-v, child, i, new)
-                if best is None or cand < best:
-                    best = cand
-        return -best[0], best[2], best[3]
-    for i, p in enumerate(piles):
-        target = g ^ p
-        if target < p:
-            child = _child(piles, i, target)
-            v = oracle_value(child) - (p - target)
-            cand = (v, child, i, target)
-            if best is None or cand < best:
-                best = cand
-    return best[0], best[2], best[3]
+    for i, new in _plies(piles, g):
+        child = _child(piles, i, new)
+        cand = (-(piles[i] - new + sign * oracle_value(child)), child, i, new)
+        if best is None or cand < best:
+            best = cand
+    return -sign * best[0], best[2], best[3]

@@ -1,7 +1,9 @@
 """End-to-end command dispatch: formats, batches, exit codes."""
 
+import hashlib
 import io
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -180,6 +182,34 @@ def test_parse_error_exit_2():
 
 def test_pile_cap_budget_exit_3():
     assert run(["--pile-cap", "4", "solve", "[8,8]"])[0] == 3
+
+
+def test_solve_pile_past_the_c_int_recursion_limit():
+    code, text = run(["solve", "[2147483648]", "--pile-cap", "4294967295", "--engine", "python"])
+    assert code == 0
+    assert text == "value -2147483648\n2147483648->0\n"
+
+
+# sha256 of the solve and allocate JSON below: values, splits and principal
+# lines of every game of at most 4 piles and 12 candies, pinned byte for byte
+SOLVE_ALLOCATE_JSON_SHA256 = "58365cf09c93e1c83503814579efe7c0bfe6cdbd81bd157e53a2bf368ab85fc6"
+
+
+def test_solve_and_allocate_json_bytes_are_pinned(monkeypatch):
+    games = [
+        c
+        for r in range(1, 5)
+        for c in combinations_with_replacement(range(1, 13), r)
+        if sum(c) <= 12
+    ] + [(1, 5, 16, 20), (31, 42, 53)]
+    batch = "".join("[" + ",".join(map(str, c)) + "]\n" for c in games)
+    code, text = run(["solve", "-", "--format", "json"], stdin=batch, monkeypatch=monkeypatch)
+    assert code == 0
+    for total in range(4, 25, 2):
+        code, line = run(["allocate", str(total), "--format", "json"])
+        assert code == 0
+        text += line
+    assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_ALLOCATE_JSON_SHA256
 
 
 def test_unknown_subcommand_is_usage_error():

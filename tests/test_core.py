@@ -9,6 +9,7 @@ from candynim.core import (
     OutcomeClass,
     Ply,
     Turn,
+    _pile_change,
     classify,
     g_family_realize,
     game_sum,
@@ -132,6 +133,17 @@ def test_turn_validation():
     assert t.winner_take == 1
     with pytest.raises(Exception):
         Turn(g, after_w, after_l)  # wrong order of classes
+
+
+def test_pile_change_names_the_one_pile_that_shrank():
+    assert _pile_change(Game([5, 3, 1]), Game([3, 2, 1])) == (5, 2)
+    assert _pile_change(Game([5, 3, 1]), Game([5, 1])) == (3, 0)
+    assert _pile_change(Game([5, 3]), Game([3, 3])) == (5, 3)
+    for h in ([5, 3, 1], [4, 2, 1], [6, 3, 1], [5, 3, 1, 1], [3]):
+        with pytest.raises(IllegalMoveError):
+            _pile_change(Game([5, 3, 1]), Game(h))
+    with pytest.raises(IllegalMoveError):
+        Turn(Game([1, 2, 3]), Game([2]), Game([]))  # two piles emptied at once
 
 
 def test_semiratio_is_loser_over_winner():

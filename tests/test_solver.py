@@ -2,10 +2,11 @@
 
 import inspect
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 
-from candynim.core import Game, Ply
+from candynim.core import Game, Ply, loser_moves, winning_moves
 from candynim.errors import MemoBudgetError, PileCapError
 from candynim.solver import (
     DEFAULT_ORACLE_CAP,
@@ -15,6 +16,7 @@ from candynim.solver import (
     packable,
     solve,
 )
+from candynim.solver._python import PyEngine
 from candynim.allocation import _partitions
 
 # values pinned by hand-checked play-throughs and small-case enumeration
@@ -126,6 +128,26 @@ def test_oracle_matches_memoized_small():
             assert s.oracle_solve(g) == s.solve(g)
 
 
+def test_oracle_and_best_plies_on_every_small_position():
+    # every position, P and N, of at most 5 piles and 12 candies
+    s = Solver()
+    games = [
+        Game(c)
+        for r in range(1, 6)
+        for c in combinations_with_replacement(range(1, 13), r)
+        if sum(c) <= 12
+    ]
+    assert len(games) == 196
+    for g in games:
+        assert s.oracle_solve(g) == s.solve(g)
+        v = s.value(g)
+        sign, candidates = (1, loser_moves(g)) if g.grundy == 0 else (-1, winning_moves(g))
+        best = tuple(
+            p for p in candidates if sign * g.candies(p) + s.value(g.apply(p)) == v
+        )
+        assert s.best_plies(g) == best
+
+
 def test_oracle_never_touches_the_kernel(monkeypatch):
     import candynim.solver as solver_mod
 
@@ -193,6 +215,9 @@ def test_python_engine_restores_the_recursion_limit():
     s = Solver(engine="python")
     assert s.value(Game([50000])) == -50000
     assert sys.getrecursionlimit() == host
+    # 2*total+1000 would overflow the C int that sys.setrecursionlimit takes
+    assert Solver(engine="python", pile_cap=2**32 - 1).value(Game([2**31])) == -(2**31)
+    assert sys.getrecursionlimit() == host
     # a game deeper than the caller's limit still solves, and the limit comes back
     low = len(inspect.stack(0)) + 30
     sys.setrecursionlimit(low)
@@ -201,6 +226,20 @@ def test_python_engine_restores_the_recursion_limit():
         assert sys.getrecursionlimit() == low
     finally:
         sys.setrecursionlimit(host)
+
+
+def test_python_engine_table_counts_search_probes_only():
+    with pytest.raises(ValueError):
+        PyEngine(0)
+    eng = PyEngine(100)
+    root = (3, 2, 1)
+    v = eng.solve_value(root)
+    first = eng.stats()
+    assert first["entries"] == first["misses"] > 0
+    # best_entry reads the stored root back after one probe of the search
+    assert eng.best_entry(root) == eng.table[root]
+    assert eng.table[root][0] == v
+    assert eng.stats() == {**first, "hits": first["hits"] + 1}
 
 
 def test_stats_counters_move():
