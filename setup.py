@@ -1,24 +1,27 @@
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-# The native kernel is optional: without Cython (or with CANDYNIM_PURE=1) the
-# package installs pure-Python and the solver falls back automatically.
+# The native kernel is compiled from the committed, Cython-generated
+# ``_kernel.cpp``, so building needs a C++ compiler but not Cython.  The
+# extension is optional: without a working compiler setuptools warns and the
+# package installs pure-Python; CANDYNIM_PURE=1 skips the kernel outright.
+# Either way the solver falls back to its Python engine automatically.
+#
+# After editing ``_kernel.pyx``, regenerate the C++ (the committed file was
+# made by Cython 3.2.8) and check that it matches the source:
+#
+#     cython --cplus src/candynim/solver/_kernel.pyx
+#     python -m pytest -q tests/test_kernel_source.py
 ext_modules = []
 if os.environ.get("CANDYNIM_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/candynim/solver/_kernel.pyx"],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
+    ext_modules = [
+        Extension(
+            "candynim.solver._kernel",
+            ["src/candynim/solver/_kernel.cpp"],
+            language="c++",
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
+    ]
 
 setup(ext_modules=ext_modules)

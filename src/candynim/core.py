@@ -132,8 +132,8 @@ class Game:
     def outcome(self) -> OutcomeClass:
         return OutcomeClass.P if self.grundy == 0 else OutcomeClass.N
 
-    def apply(self, ply: "Ply") -> "Game":
-        """The position after ``ply``, back in canonical form."""
+    def _old_size(self, ply: "Ply") -> int:
+        """The size of the pile ``ply`` shrinks; IllegalMoveError if it cannot."""
         if not 0 <= ply.pile_index < len(self.piles):
             raise IllegalMoveError(f"no pile {ply.pile_index} in {self}")
         old = self.piles[ply.pile_index]
@@ -141,19 +141,17 @@ class Game:
             raise IllegalMoveError(
                 f"pile {ply.pile_index} of {self} is {old}; cannot set it to {ply.new_size}"
             )
+        return old
+
+    def apply(self, ply: "Ply") -> "Game":
+        """The position after ``ply``, back in canonical form."""
+        self._old_size(ply)
         rest = self.piles[: ply.pile_index] + self.piles[ply.pile_index + 1 :]
         return Game(rest + ((ply.new_size,) if ply.new_size else ()))
 
     def candies(self, ply: "Ply") -> int:
         """How much the mover banks by playing ``ply`` here."""
-        if not 0 <= ply.pile_index < len(self.piles):
-            raise IllegalMoveError(f"no pile {ply.pile_index} in {self}")
-        old = self.piles[ply.pile_index]
-        if not 0 <= ply.new_size < old:
-            raise IllegalMoveError(
-                f"pile {ply.pile_index} of {self} is {old}; cannot set it to {ply.new_size}"
-            )
-        return old - ply.new_size
+        return self._old_size(ply) - ply.new_size
 
 
 @dataclass(frozen=True, order=True)

@@ -1,11 +1,16 @@
 """Exact solver facade.
 
 :class:`Solver` wraps two interchangeable engines behind one interface:
-a Cython kernel (built as ``candynim.solver._kernel``) that packs
-positions into 64-bit keys, and the pure-Python engine in
-:mod:`candynim.solver._python`.  Both implement the same recursion and
-the same tie-break, so every result is engine-independent; ``auto``
-simply prefers the kernel whenever the position fits its packing.
+a native kernel that packs positions into 64-bit keys, and the
+pure-Python engine in :mod:`candynim.solver._python`.  Both implement
+the same recursion and the same tie-break, so every result is
+engine-independent; ``auto`` simply prefers the kernel whenever the
+position fits its packing.
+
+The kernel, ``candynim.solver._kernel``, is written in ``_kernel.pyx``;
+``setup.py`` compiles the committed Cython output ``_kernel.cpp``, so
+building it needs a C++ compiler but not Cython.  Where it was not
+built, ``auto`` runs on Python and ``native`` raises :class:`EngineError`.
 
 The kernel packs a position into one machine word by giving each pile a
 fixed bit field: with ``s`` piles at the root every field gets

@@ -1,0 +1,77 @@
+"""``setup.py`` builds the kernel from the committed ``_kernel.cpp``.
+
+The build runs out of tree, in the same shape as ``perfbench/run.py``, so
+the checkout gains no ``build/`` or ``egg-info`` directory.  The kernel it
+makes then runs the solver tests, engine parity included, in a fresh
+interpreter; without a compiler the same build still leaves a working
+pure-Python package.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+def _cxx_found() -> bool:
+    cxx = (os.environ.get("CXX") or sysconfig.get_config_var("CXX") or "").split()
+    return bool(cxx) and shutil.which(cxx[0]) is not None
+
+
+def _build(out: Path, **env: str) -> Path:
+    """Build the checkout into ``out``; return the package root."""
+    cmd = [sys.executable, "setup.py", "-q", "egg_info", "--egg-base", str(out),
+           "build", "--build-base", str(out), "--build-lib", str(out / "lib")]
+    base = {k: v for k, v in os.environ.items() if k != "CANDYNIM_PURE"}
+    proc = subprocess.run(cmd, cwd=ROOT, env={**base, **env}, capture_output=True,
+                          text=True, timeout=TIMEOUT_S)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return out / "lib"
+
+
+def _run(lib: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on the built package only, from the checkout root."""
+    env = {**os.environ, "PYTHONPATH": str(lib)}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=TIMEOUT_S)
+
+
+def _kernels(lib: Path) -> list:
+    return sorted((lib / "candynim" / "solver").glob("_kernel*.so"))
+
+
+PROBE = ("import candynim.solver as s; from candynim import Game, solve; "
+         "print(s.kernel_available(), solve(Game([1, 5, 16, 20])).value, s.__file__)")
+
+
+@pytest.mark.skipif(not _cxx_found(), reason="no C++ compiler")
+def test_built_kernel_passes_the_solver_tests(tmp_path):
+    lib = _build(tmp_path)
+    assert _kernels(lib), "setup.py built no _kernel*.so"
+    probe = _run(lib, "-c", PROBE)
+    assert probe.returncode == 0, probe.stderr
+    available, value, path = probe.stdout.split()
+    assert (available, value) == ("True", "28")
+    assert Path(path).is_relative_to(lib)
+    tests = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 "tests/test_solver.py")
+    summary = tests.stdout.strip().splitlines()[-1]
+    assert tests.returncode == 0, tests.stdout + tests.stderr
+    assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary
+
+
+def test_build_without_a_compiler_installs_pure_python(tmp_path):
+    lib = _build(tmp_path, CC="/bin/false", CXX="/bin/false")
+    assert (lib / "candynim" / "solver" / "_python.py").is_file()
+    assert _kernels(lib) == []
+    probe = _run(lib, "-c", PROBE)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split()[:2] == ["False", "28"]

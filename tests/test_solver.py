@@ -98,16 +98,17 @@ def test_two_fresh_solvers_agree():
 def test_engine_parity_on_small_sweep():
     native = Solver(engine="native")
     python = Solver(engine="python")
-    for total in range(2, 13, 2):
-        for piles in _partitions(total, 4, total):
-            g = Game(piles)
-            rn, rp = native.solve(g), python.solve(g)
-            assert (rn.value, rn.n_loser, rn.n_winner) == (
-                rp.value,
-                rp.n_loser,
-                rp.n_winner,
-            )
-            assert rn.principal_line == rp.principal_line
+    small = [Game(p) for total in range(2, 13, 2) for p in _partitions(total, 4, total)]
+    # every game, P and N, at the widths whose keys pack piles into 12, 10 and 8 bits
+    wide = [
+        Game(c)
+        for r in (5, 6, 7)
+        for c in combinations_with_replacement(range(1, 25), r)
+        if sum(c) <= 24
+    ]
+    assert len(wide) == 2858
+    for g in small + wide:
+        assert native.solve(g) == python.solve(g)
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
