@@ -56,7 +56,7 @@ from .core import (
     xor_adjacent,
 )
 from .errors import ParseError, UnknownClaimError
-from .solver import Solver, _default_solver
+from .solver import Solver, _default_solver, _n_winner
 from .strategies import (
     StrategyTrace,
     flip_flop_policy,
@@ -194,7 +194,7 @@ def _p_sweep(profile: str) -> tuple[str, Iterator[Game]]:
 def _c_value_nonneg(profile: str, solver: Solver, t: _Tally) -> _Tally:
     params, games = _p_sweep(profile)
     for g in games:
-        v = solver.solve(g).value
+        v = solver.value(g)
         t.check(v >= 0, game=g.piles, value=v)
     return t.outcome(params)
 
@@ -262,7 +262,7 @@ def _c_semiratio(profile: str, solver: Solver, t: _Tally) -> _Tally:
 @_register("small-family-value", "the game [1, 2m, 2m+1] is worth exactly 2m to the loser")
 def _c_small_family(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for m in range(1, 33):
-        v = solver.solve(Game([1, 2 * m, 2 * m + 1])).value
+        v = solver.value(Game([1, 2 * m, 2 * m + 1]))
         t.check(v == 2 * m, m=m, value=v, expected=2 * m)
     return t.outcome("1<=m<=32")
 
@@ -295,7 +295,7 @@ def _c_flip_flop_value(profile: str, solver: Solver, t: _Tally) -> _Tally:
 def _c_family31(profile: str, solver: Solver, t: _Tally) -> _Tally:
     mmax = {"smoke": 2, "desk": 11, "extended": 11}[profile]
     for m in range(1, mmax + 1):
-        v = solver.solve(Game([31, 32 * m, 32 * m + 31])).value
+        v = solver.value(Game([31, 32 * m, 32 * m + 31]))
         expected = 62 * (m - 1) + 98
         t.check(v == expected, m=m, value=v, expected=expected)
     return t.outcome(f"1<=m<={mmax}")
@@ -345,7 +345,7 @@ def _c_strategy_cap(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for j in range(1, jmax + 1):
         for m in range(1, mmax + 1):
             g = g_family_realize(2**j - 1, m, 0)
-            exact = solver.solve(g).value
+            exact = solver.value(g)
             for name, policy in (
                 ("flip-flop", flip_flop_policy),
                 ("fractal-half", lambda h: fractal_policy(half, h)),
@@ -401,13 +401,13 @@ def _standard_points(profile: str) -> tuple[str, list[dict]]:
 
 def _standard_row(solver: Solver, k: int, m: int) -> dict:
     iv = standard_form_bounds(k, m, solver)
-    exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, 0)).value
+    exact = solver.value(g_family_realize(2 ** (k + 1) - 1, m, 0))
     return _bound_row("standard-form-interval", f"k={k},m={m}", iv.lower, exact, iv.upper)
 
 
 def _standard_residuals(solver: Solver) -> str:
     residuals = ", ".join(
-        f"b({k})={solver.solve(g_family_realize(2 ** (k + 1) - 1, 1, 0)).value}"
+        f"b({k})={solver.value(g_family_realize(2 ** (k + 1) - 1, 1, 0))}"
         for k in range(_STANDARD_K + 1)
     )
     return (
@@ -435,7 +435,7 @@ def _c_standard_proof_variant(profile: str, solver: Solver, t: _Tally) -> _Tally
     params, points = _standard_points(profile)
     for p in points:
         k, m = p["k"], p["m"]
-        exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, 0)).value
+        exact = solver.value(g_family_realize(2 ** (k + 1) - 1, m, 0))
         variant = (2 ** (k + 1) - 2) * m + (2 ** (k + 1) - 2) - 2 + (1 if k == 0 else 0)
         t.check(exact <= variant, k=k, m=m, exact=exact, variant_upper=variant)
     return t.outcome(
@@ -457,7 +457,7 @@ def _corollary_points(profile: str) -> tuple[str, list[dict]]:
 
 
 def _corollary_row(solver: Solver, a: int, m: int, x: int = 0) -> dict:
-    exact = solver.solve(g_family_realize(a, m, x)).value
+    exact = solver.value(g_family_realize(a, m, x))
     return _bound_row(
         "family-offset-lower", f"a={a},m={m},x={x}", corollary_lower(a, m, x), exact, ""
     )
@@ -480,7 +480,7 @@ def _general_points(profile: str) -> tuple[str, list[dict]]:
 
 def _general_row(solver: Solver, k: int, m: int, x: int = 0) -> dict:
     iv = general_bounds(k, m, x, solver)
-    exact = solver.solve(g_family_realize(2 ** (k + 1) - 1, m, x)).value
+    exact = solver.value(g_family_realize(2 ** (k + 1) - 1, m, x))
     return _bound_row(
         "neighbor-transfer-interval", f"k={k},m={m},x={x}", iv.lower, exact, iv.upper
     )
@@ -512,7 +512,7 @@ def _c_half_pool(profile: str, solver: Solver, t: _Tally) -> _Tally:
 def _c_log_floor(profile: str, solver: Solver, t: _Tally) -> _Tally:
     params, games = _p_sweep(profile)
     for g in games:
-        nw = solver.solve(g).n_winner
+        nw = _n_winner(solver, g)
         t.check(nw >= log_lower_bound(g.total), game=g.piles, n_winner=nw)
     return t.outcome(params)
 
@@ -522,11 +522,14 @@ def _c_log_floor(profile: str, solver: Solver, t: _Tally) -> _Tally:
     "appending an equal pile pair never changes the value",
 )
 def _c_duplicate_pairs(profile: str, solver: Solver, t: _Tally) -> _Tally:
+    # The kernel drops equal pairs before it searches, so the claim is
+    # checked on the plain Python engine, under the given solver's caps.
+    plain = Solver(engine="python", pile_cap=solver.pile_cap, memo_cap=solver.memo_cap)
     cap = {"smoke": 8, "desk": 12, "extended": 12}[profile]
     for g in _p_positions(cap):
-        base = solver.solve(g).value
+        base = plain.value(g)
         for a in range(1, 9):
-            v = solver.solve(g + Game([a, a])).value
+            v = plain.value(g + Game([a, a]))
             t.check(v == base, game=g.piles, pair=a, value=v, base=base)
     return t.outcome(f"P positions total<={cap}, pairs a<=8")
 
@@ -576,8 +579,8 @@ def _c_skip_chain(profile: str, solver: Solver, t: _Tally) -> _Tally:
                 continue
             ply = lemma_optimal_ply(g)
             optimal = solver.best_plies(g)
-            nw = solver.solve(g).n_winner
-            nw_after = solver.solve(g.apply(ply)).n_winner
+            nw = _n_winner(solver, g)
+            nw_after = _n_winner(solver, g.apply(ply))
             t.check(
                 ply in optimal and nw == n - 1 and nw_after == n - 1,
                 game=g.piles,
@@ -641,7 +644,7 @@ def _c_distinct_floor(profile: str, solver: Solver, t: _Tally) -> _Tally:
             g = Game(piles)
             if g.outcome is not OutcomeClass.P:
                 continue
-            nw = solver.solve(g).n_winner
+            nw = _n_winner(solver, g)
             t.check(nw >= duplicate_free_lower(g), game=g.piles, n_winner=nw)
     return t.outcome(f"duplicate-free P positions, p<=4, piles<={cap}")
 
@@ -676,7 +679,7 @@ def _c_min_winner(profile: str, solver: Solver, t: _Tally) -> _Tally:
 )
 def _c_worked_example(profile: str, solver: Solver, t: _Tally) -> _Tally:
     g = Game([1, 5, 16, 20])
-    v = solver.solve(g).value
+    v = solver.value(g)
     t.check(v == 28, game=[1, 5, 16, 20], value=v, expected=28)
     plies = solver.best_plies(g)
     t.check(
@@ -684,7 +687,7 @@ def _c_worked_example(profile: str, solver: Solver, t: _Tally) -> _Tally:
         game=[1, 5, 16, 20],
         best=[[p.pile_index, p.new_size] for p in plies],
     )
-    v = solver.solve(Game([1, 2, 4, 7])).value
+    v = solver.value(Game([1, 2, 4, 7]))
     t.check(v == 8, game=[1, 2, 4, 7], value=v, expected=8)
     return t.outcome("one worked instance plus its endgame")
 
@@ -697,15 +700,15 @@ def _c_four_pile_reduction(profile: str, solver: Solver, t: _Tally) -> _Tally:
     mmax = {"smoke": 2, "desk": 6, "extended": 6}[profile]
     anchors = [([3, 4, 7], 6), ([1, 2, 4, 7], 8), ([3, 5, 6], 6), ([1, 2, 5, 6], 6)]
     for piles, expected in anchors:
-        v = solver.solve(Game(piles)).value
+        v = solver.value(Game(piles))
         t.check(v == expected, game=piles, value=v, expected=expected)
     for m in range(1, mmax + 1):
         for three, four in (
             ([3, 4 * m, 4 * m + 3], [1, 2, 4 * m, 4 * m + 3]),
             ([3, 4 * m + 1, 4 * m + 2], [1, 2, 4 * m + 1, 4 * m + 2]),
         ):
-            v3 = solver.solve(Game(three)).value
-            v4 = solver.solve(Game(four)).value
+            v3 = solver.value(Game(three))
+            v4 = solver.value(Game(four))
             t.check(v4 >= v3, three=three, four=four, v3=v3, v4=v4)
     return t.outcome(f"m<={mmax}, both offset patterns")
 
@@ -715,11 +718,11 @@ def _c_four_pile_reduction(profile: str, solver: Solver, t: _Tally) -> _Tally:
     "[31,42,53] is worth 96 and its binary-expansion split [1,2,4,8,16,42,53] only 94",
 )
 def _c_split_counterexample(profile: str, solver: Solver, t: _Tally) -> _Tally:
-    v = solver.solve(Game([31, 42, 53])).value
+    v = solver.value(Game([31, 42, 53]))
     t.check(v == 96, game=[31, 42, 53], value=v, expected=96)
     if profile == "smoke":
         return t.outcome("3-pile game only")
-    v7 = solver.solve(Game([1, 2, 4, 8, 16, 42, 53])).value
+    v7 = solver.value(Game([1, 2, 4, 8, 16, 42, 53]))
     t.check(v7 == 94, game=[1, 2, 4, 8, 16, 42, 53], value=v7, expected=94)
     return t.outcome("both games")
 
@@ -774,11 +777,11 @@ def _c_conj_split(profile: str, solver: Solver, t: _Tally) -> _Tally:
         decomps = list(_bit_partitions(a))
         if not decomps:
             continue
-        base = solver.solve(g).value
+        base = solver.value(g)
         scan_all = g.piles == (53, 42, 31)
         witness = None
         for parts in decomps:
-            v = solver.solve(Game(parts + g.piles[:-1])).value
+            v = solver.value(Game(parts + g.piles[:-1]))
             if scan_all and parts == (1, 2, 4, 8, 16):
                 word = "a non-witness" if v < base else "a witness"
                 special = (

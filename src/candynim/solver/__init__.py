@@ -1,23 +1,22 @@
 """Exact solver facade.
 
 :class:`Solver` wraps two interchangeable engines behind one interface:
-a native kernel that packs positions into 64-bit keys, and the
+a native kernel over a flat table of packed 64-bit keys, and the
 pure-Python engine in :mod:`candynim.solver._python`.  Both implement
 the same recursion and the same tie-break, so every result is
 engine-independent; ``auto`` simply prefers the kernel whenever the
 position fits its packing.
 
-The kernel, ``candynim.solver._kernel``, is written in ``_kernel.pyx``;
-``setup.py`` compiles the committed Cython output ``_kernel.cpp``, so
-building it needs a C++ compiler but not Cython.  Where it was not
-built, ``auto`` runs on Python and ``native`` raises :class:`EngineError`.
+The kernel, ``candynim.solver._kernel``, is the hand-written C extension
+``_kernel.c``; building it needs a C compiler.  Where it was not built,
+``auto`` runs on Python and ``native`` raises :class:`EngineError`.
 
-The kernel packs a position into one machine word by giving each pile a
-fixed bit field: with ``s`` piles at the root every field gets
-``62 // s`` bits, piles are laid out highest-first, and missing piles
-pad with zeros.  Integer order on packed keys then coincides with
-lexicographic order on canonical tuples, which is what lets the kernel
-apply the shared tie-break without unpacking.
+The kernel keys each position by its own width: a position of ``n``
+piles gives every pile a ``62 // n``-bit field, highest pile first, and
+stores that width beside the key.  A game fits when it packs at its own
+width.  Before it probes or searches a position the kernel drops every
+equal pile pair from it, which never changes a value; the Python engine
+keeps the pairs, so it stays an independent check of that shortcut.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from ..errors import (
     InvariantError,
     PileCapError,
 )
-from ._python import PyEngine, _child, _plies, oracle_entry, oracle_value
+from ._python import PyEngine, _child, _plies, oracle_entry
 
 try:
     from . import _kernel
@@ -110,21 +109,27 @@ class SolveResult:
         }
 
 
-def _solved(game: Game, value_fn, entry_fn) -> SolveResult:
-    """Result for a nonempty game from a value and a best-entry function.
-
-    The principal line follows ``entry_fn``'s tie-break-optimal ply from
-    each position down to the empty game.
-    """
-    value = value_fn(game.piles)
-    line = []
-    piles = game.piles
-    while piles:
-        _, i, new = entry_fn(piles)
-        line.append(Ply(i, new))
-        piles = _child(piles, i, new)
+def _solved(game: Game, line) -> SolveResult:
+    """Result for a nonempty game from its ``(value, plies)`` line."""
+    value, plies = line
     n_loser, n_winner = _split(game.total, value)
-    return SolveResult(game, value, n_loser, n_winner, tuple(line))
+    return SolveResult(game, value, n_loser, n_winner, tuple([Ply(i, new) for i, new in plies]))
+
+
+def _walk(entry_fn, piles: tuple) -> tuple:
+    """``(value, plies)`` of the principal line, one ``entry_fn`` step each.
+
+    ``entry_fn`` gives a position's ``(value, ply_index, new_size)``; the
+    line follows its ply from each position down to the empty game.
+    """
+    value, plies = 0, []
+    while piles:
+        v, i, new = entry_fn(piles)
+        if not plies:
+            value = v
+        plies.append((i, new))
+        piles = _child(piles, i, new)
+    return value, plies
 
 
 def _with_room(total: int, fn, *args):
@@ -152,6 +157,11 @@ def _split(total: int, value: int) -> tuple[int, int]:
     return n_loser, total - n_loser
 
 
+def _n_winner(solver: "Solver", game: Game) -> int:
+    """The winner's candies under optimal play, from the value alone."""
+    return _split(game.total, solver.value(game))[1]
+
+
 class Solver:
     """Reusable exact solver with engine selection and shared tables.
 
@@ -160,10 +170,14 @@ class Solver:
             falls back per game; the explicit names raise
             :class:`EngineError` when the request cannot be honored.
         pile_cap: largest root pile accepted by :meth:`solve`.
-        memo_cap: transposition-table entry budget (per table).
+        memo_cap: transposition-table entry budget, per engine.
 
-    Tables persist across calls: the Python engine shares one table for
-    all games, the kernel keeps one per root width.
+    Tables persist across calls: each engine keeps one table for all
+    games.  The kernel's keys carry each position's own width, with its
+    equal pile pairs dropped, so a tail solved under one root is reused
+    under another; the Python engine keys plain canonical tuples.
+    Only the Python engine recurses on the Python stack, so only its
+    calls raise the recursion limit, for the call alone.
     """
 
     def __init__(
@@ -180,7 +194,7 @@ class Solver:
         self.pile_cap = pile_cap
         self.memo_cap = memo_cap
         self._py: PyEngine | None = None
-        self._native: dict[int, object] = {}
+        self._native = None
 
     # -- engine plumbing ------------------------------------------------
 
@@ -189,12 +203,10 @@ class Solver:
             self._py = PyEngine(self.memo_cap)
         return self._py
 
-    def _native_engine(self, slots: int):
-        eng = self._native.get(slots)
-        if eng is None:
-            eng = _kernel.NativeEngine(slots, self.memo_cap)
-            self._native[slots] = eng
-        return eng
+    def _native_engine(self):
+        if self._native is None:
+            self._native = _kernel.NativeEngine(self.memo_cap)
+        return self._native
 
     def _pick(self, piles: tuple):
         total = sum(piles)
@@ -206,7 +218,7 @@ class Solver:
             and total <= NATIVE_DEPTH_CAP
         )
         if fits:
-            return self._native_engine(len(piles))
+            return self._native_engine()
         if self.engine == "native":
             if total > NATIVE_DEPTH_CAP:
                 raise EngineError(
@@ -233,7 +245,10 @@ class Solver:
         self._check_caps(game)
         if not game:
             return 0
-        return _with_room(game.total, self._pick(game.piles).solve_value, game.piles)
+        eng = self._pick(game.piles)
+        if eng is self._py:
+            return _with_room(game.total, eng.solve_value, game.piles)
+        return eng.solve_value(game.piles)
 
     def solve(self, game: Game, workers: int = 1) -> SolveResult:
         """Value, candy split, and an optimal line.
@@ -248,7 +263,9 @@ class Solver:
         if workers > 1:
             return self._solve_parallel(game, workers)
         eng = self._pick(game.piles)
-        return _with_room(game.total, _solved, game, eng.solve_value, eng.best_entry)
+        if eng is self._py:
+            return _solved(game, _with_room(game.total, _walk, eng.best_entry, game.piles))
+        return _solved(game, eng.line(game.piles))
 
     def best_plies(self, game: Game) -> tuple[Ply, ...]:
         """Every value-optimal ply for the player to move, ascending.
@@ -260,7 +277,10 @@ class Solver:
         self._check_caps(game)
         if not game:
             return ()
-        return _with_room(game.total, _best_plies, self._pick(game.piles), game)
+        eng = self._pick(game.piles)
+        if eng is self._py:
+            return _with_room(game.total, _best_plies, eng, game)
+        return _best_plies(eng, game)
 
     def oracle_solve(self, game: Game, max_total: int = DEFAULT_ORACLE_CAP) -> SolveResult:
         """Solve by memoless reference recursion (cross-check path).
@@ -278,24 +298,21 @@ class Solver:
             )
         if not game:
             return SolveResult(game, 0, 0, 0, ())
-        return _solved(game, oracle_value, oracle_entry)
+        return _solved(game, _walk(oracle_entry, game.piles))
 
     def stats(self) -> list[dict]:
-        """Per-engine table statistics, native tables first.
+        """Per-engine table statistics, native rows first.
 
-        One row per table, with ``entries``, ``hits``, ``misses``, ``cap``
-        and ``engine`` (``"python"``, or ``"native[w]"`` for the kernel's
-        table of root width ``w``).  In both engines ``entries`` counts the
-        loser-to-move positions stored, and ``hits`` and ``misses`` count
-        the table probes of the search, one each time it reaches a
-        loser-to-move position.  Reading a root's stored entry back for its
-        principal ply counts as neither.
+        Rows have ``entries``, ``hits``, ``misses``, ``cap`` and
+        ``engine``.  The Python engine gives one ``"python"`` row.  The
+        kernel's one table gives one ``"native[w]"`` row per width ``w`` it
+        has probed, counting the positions of ``w`` piles once their pairs
+        are dropped; ``cap`` is the whole table's.  In both engines
+        ``entries`` counts the loser-to-move positions stored, and ``hits``
+        and ``misses`` count table probes, one each time the engine reaches
+        a loser-to-move position, principal lines included.
         """
-        out = []
-        for slots in sorted(self._native):
-            s = self._native[slots].stats()
-            s["engine"] = f"native[{slots}]"
-            out.append(s)
+        out = self._native.stats() if self._native is not None else []
         if self._py is not None:
             out.append(self._py.stats())
         return out

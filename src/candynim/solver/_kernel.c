@@ -1,0 +1,509 @@
+/* Native value engine for candynim.solver.
+
+   The recursion and tie-break are those of candynim.solver._python, with
+   two shortcuts the plain engine leaves out on purpose, so that it stays an
+   independent check of this one:
+
+   - Equal pile pairs are dropped before a position is probed or searched.
+     A pair never changes the value, since the winner can mirror the loser
+     inside it, and the nim-sum stays the same.  A stripped position has
+     distinct piles, so a child of one only needs to cancel its new pile
+     against an equal old one.
+   - The table stores values only.  line() finds each principal ply again by
+     scanning the plies of the position it stands on.
+
+   The table is one flat array per engine: 16-byte slots, linear probing
+   over a power-of-two size, a splitmix64 hash.  It starts at MIN_SLOTS
+   slots, doubles at load 1/2, and never grows past the size that holds
+   memo_cap entries at that load.  A position of n piles is keyed by its own
+   width: each pile gets 62 / n bits, highest pile first, so a tail solved
+   under one root is found again under another.  Slots keep n beside the
+   key, since keys of different widths can coincide.  Only loser-to-move
+   (zero nim-sum) positions are stored.
+
+   The search recurses on the C stack, at most one frame per candy; the
+   facade keeps games taller than its depth cap off the kernel. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+#define MAX_N 31
+#define KEY_BITS 62
+#define MIN_SLOTS 1024
+#define FAIL INT64_MIN /* a search that set a Python error */
+
+static PyObject *EngineError, *InvariantError, *MemoBudgetError;
+
+typedef struct {
+    uint64_t key;
+    int32_t value;
+    int32_t width; /* pile count of the position; 0 marks an empty slot */
+} Slot;
+
+typedef struct {
+    PyObject_HEAD
+    Slot *slots;
+    uint64_t mask;      /* slot count - 1 */
+    uint64_t max_slots; /* slot count that holds memo_cap entries at load 1/2 */
+    uint64_t size;
+    uint64_t memo_cap;
+    uint64_t entries[MAX_N + 1], hits[MAX_N + 1], misses[MAX_N + 1];
+} Engine;
+
+/* Copy arr minus index skip, with ns (if nonzero) inserted, kept
+   descending.  With cancel set, ns and an equal pile drop out as a pair. */
+static int make_child(const int64_t *arr, int n, int skip, int64_t ns, int cancel,
+                      int64_t *out)
+{
+    int m = 0, placed = ns == 0;
+    for (int j = 0; j < n; j++) {
+        if (j == skip)
+            continue;
+        if (!placed && ns >= arr[j]) {
+            placed = 1;
+            if (cancel && ns == arr[j])
+                continue;
+            out[m++] = ns;
+        }
+        out[m++] = arr[j];
+    }
+    if (!placed)
+        out[m++] = ns;
+    return m;
+}
+
+/* Drop every equal pair from a descending position, in place. */
+static int strip_pairs(int64_t *arr, int n)
+{
+    int m = 0;
+    for (int j = 0; j < n; j++) {
+        if (m && arr[m - 1] == arr[j])
+            m--;
+        else
+            arr[m++] = arr[j];
+    }
+    return m;
+}
+
+static int64_t nim_sum(const int64_t *arr, int n)
+{
+    int64_t g = 0;
+    for (int j = 0; j < n; j++)
+        g ^= arr[j];
+    return g;
+}
+
+/* arr packed into slots fields of 62 / slots bits, missing piles as zeros.
+   Packed keys of one slot count order like canonical tuples. */
+static uint64_t pack(const int64_t *arr, int n, int slots)
+{
+    int bits = KEY_BITS / slots;
+    uint64_t key = 0;
+    for (int j = 0; j < slots; j++) {
+        key <<= bits;
+        if (j < n)
+            key |= (uint64_t)arr[j];
+    }
+    return key;
+}
+
+static uint64_t mix(uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/* The slot holding (key, width), or the empty slot where it would go. */
+static Slot *find(Engine *e, uint64_t key, int width)
+{
+    uint64_t i = mix(key + (uint64_t)width * 0x9e3779b97f4a7c15ULL) & e->mask;
+    Slot *s = e->slots + i;
+    while (s->width && (s->key != key || s->width != width)) {
+        i = (i + 1) & e->mask;
+        s = e->slots + i;
+    }
+    return s;
+}
+
+static int grow(Engine *e)
+{
+    uint64_t old_count = e->mask + 1;
+    Slot *old = e->slots;
+    Slot *fresh = PyMem_Calloc(2 * old_count, sizeof(Slot));
+    if (fresh == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    e->slots = fresh;
+    e->mask = 2 * old_count - 1;
+    for (uint64_t i = 0; i < old_count; i++)
+        if (old[i].width)
+            *find(e, old[i].key, old[i].width) = old[i];
+    PyMem_Free(old);
+    return 0;
+}
+
+static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g);
+
+/* Value of a stripped loser-to-move position (nonempty, zero nim-sum). */
+static int64_t search(Engine *e, const int64_t *arr, int n)
+{
+    uint64_t key = pack(arr, n, n);
+    Slot *s = find(e, key, n);
+    if (s->width) {
+        e->hits[n]++;
+        return s->value;
+    }
+    e->misses[n]++;
+
+    /* Every child is nonempty with nim-sum p ^ ns, since a stripped P
+       position has at least three distinct piles. */
+    int64_t buf[MAX_N];
+    int64_t best = FAIL;
+    for (int i = 0; i < n; i++) {
+        int64_t p = arr[i];
+        for (int64_t ns = 0; ns < p; ns++) {
+            int m = make_child(arr, n, i, ns, 1, buf);
+            int64_t v = n_value(e, buf, m, p ^ ns);
+            if (v == FAIL)
+                return FAIL;
+            v += p - ns;
+            if (v > best)
+                best = v;
+        }
+    }
+    if (e->size >= e->memo_cap) {
+        PyErr_Format(MemoBudgetError,
+                     "transposition table reached its cap of %llu entries; "
+                     "raise memo_cap to solve this position",
+                     (unsigned long long)e->memo_cap);
+        return FAIL;
+    }
+    if (2 * (e->size + 1) > e->mask + 1 && e->mask + 1 < e->max_slots && grow(e) < 0)
+        return FAIL;
+    s = find(e, key, n);
+    s->key = key;
+    s->width = n;
+    s->value = (int32_t)best;
+    e->size++;
+    e->entries[n]++;
+    return best;
+}
+
+/* Value of a stripped winner-to-move position; g is its nonzero nim-sum. */
+static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g)
+{
+    int64_t buf[MAX_N];
+    int64_t best = INT64_MAX;
+    for (int i = 0; i < n; i++) {
+        int64_t target = g ^ arr[i];
+        if (target >= arr[i])
+            continue;
+        int m = make_child(arr, n, i, target, 1, buf);
+        int64_t v = m ? search(e, buf, m) : 0;
+        if (v == FAIL)
+            return FAIL;
+        v -= arr[i] - target;
+        if (v < best)
+            best = v;
+    }
+    if (best == INT64_MAX) {
+        PyErr_SetString(InvariantError, "no winning ply in an N position");
+        return FAIL;
+    }
+    return best;
+}
+
+/* Value of any canonical position, pairs and all. */
+static int64_t value_of(Engine *e, const int64_t *arr, int n)
+{
+    int64_t buf[MAX_N];
+    memcpy(buf, arr, n * sizeof(int64_t));
+    n = strip_pairs(buf, n);
+    if (n == 0)
+        return 0;
+    int64_t g = nim_sum(buf, n);
+    return g ? n_value(e, buf, n, g) : search(e, buf, n);
+}
+
+/* Read a canonical pile sequence that packs at its own width; return its
+   pile count, or -1 with an error set. */
+static int load(PyObject *piles, int64_t *arr)
+{
+    PyObject *seq = PySequence_Fast(piles, "piles must be a sequence");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    if (n > MAX_N) {
+        PyErr_Format(EngineError, "kernel takes at most %d piles, got %zd", MAX_N, n);
+        Py_DECREF(seq);
+        return -1;
+    }
+    int bits = n ? KEY_BITS / (int)n : KEY_BITS;
+    int64_t total = 0;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, j);
+        int overflow;
+        long long p = PyLong_AsLongLongAndOverflow(item, &overflow);
+        if (p == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return -1;
+        }
+        if (overflow > 0 || (!overflow && p >= (1LL << bits))) {
+            PyErr_Format(EngineError,
+                         "pile %S does not fit %d bits; "
+                         "widen the key or use the python engine",
+                         item, bits);
+            Py_DECREF(seq);
+            return -1;
+        }
+        if (overflow < 0 || p < 1 || (j && p > arr[j - 1])) {
+            PyErr_SetString(EngineError, "piles must be canonical (descending)");
+            Py_DECREF(seq);
+            return -1;
+        }
+        arr[j] = p;
+        total += p;
+    }
+    Py_DECREF(seq);
+    if (total > INT32_MAX) {
+        PyErr_Format(EngineError, "total %lld exceeds the kernel's 32-bit values",
+                     (long long)total);
+        return -1;
+    }
+    return (int)n;
+}
+
+static int Engine_init(Engine *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"memo_cap", NULL};
+    long long memo_cap;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L", kwlist, &memo_cap))
+        return -1;
+    if (memo_cap < 1) {
+        PyErr_Format(PyExc_ValueError, "table cap must be positive, got %lld", memo_cap);
+        return -1;
+    }
+    if (self->slots != NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "NativeEngine is already initialized");
+        return -1;
+    }
+    uint64_t max_slots = 2;
+    while (max_slots / 2 < (uint64_t)memo_cap && max_slots < (1ULL << 62))
+        max_slots <<= 1;
+    uint64_t count = max_slots < MIN_SLOTS ? max_slots : MIN_SLOTS;
+    self->slots = PyMem_Calloc(count, sizeof(Slot));
+    if (self->slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->mask = count - 1;
+    self->max_slots = max_slots;
+    self->memo_cap = (uint64_t)memo_cap;
+    return 0;
+}
+
+static void Engine_dealloc(Engine *self)
+{
+    PyMem_Free(self->slots);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static Engine *ready(PyObject *self)
+{
+    Engine *e = (Engine *)self;
+    if (e->slots == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "NativeEngine was never initialized");
+        return NULL;
+    }
+    return e;
+}
+
+static PyObject *Engine_solve_value(PyObject *self, PyObject *piles)
+{
+    Engine *e = ready(self);
+    int64_t arr[MAX_N];
+    int n = e ? load(piles, arr) : -1;
+    if (n < 0)
+        return NULL;
+    int64_t v = value_of(e, arr, n);
+    return v == FAIL ? NULL : PyLong_FromLongLong(v);
+}
+
+/* The tie-break-optimal ply of a nonempty position: the best value, then
+   the smallest child as a canonical tuple, then the smallest pile index,
+   then the smallest new size.  Plies are scanned by index and size
+   ascending, so a later ply wins a tie only with a smaller child.  At a
+   loser-to-move position the best value is known from the table, and a
+   ply whose child cannot beat the one found is not scored. */
+static int best_ply(Engine *e, const int64_t *arr, int n, int64_t *value, int *pile,
+                    int64_t *size)
+{
+    int64_t buf[MAX_N];
+    int64_t g = nim_sum(arr, n), target = 0;
+    uint64_t best_key = 0;
+    int have = 0;
+    if (g == 0 && (target = value_of(e, arr, n)) == FAIL)
+        return -1;
+    for (int i = 0; i < n; i++) {
+        int64_t p = arr[i];
+        /* the loser may play every size, the winner only the one that
+           restores a zero nim-sum */
+        int64_t lo = g ? g ^ p : 0, hi = g ? lo + 1 : p;
+        for (int64_t ns = lo; ns < hi && ns < p; ns++) {
+            int m = make_child(arr, n, i, ns, 0, buf);
+            uint64_t key = pack(buf, m, n);
+            if (g == 0 && have && key >= best_key)
+                continue;
+            int64_t v = value_of(e, buf, m);
+            if (v == FAIL)
+                return -1;
+            v = g ? v - (p - ns) : v + (p - ns);
+            if (g == 0 ? v != target
+                       : have && (v > *value || (v == *value && key >= best_key)))
+                continue;
+            have = 1;
+            best_key = key;
+            *value = v;
+            *pile = i;
+            *size = ns;
+        }
+    }
+    if (!have) {
+        PyErr_SetString(InvariantError, "no optimal ply found");
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *Engine_line(PyObject *self, PyObject *piles)
+{
+    Engine *e = ready(self);
+    int64_t arr[MAX_N], buf[MAX_N];
+    int n = e ? load(piles, arr) : -1;
+    if (n < 0)
+        return NULL;
+    PyObject *plies = PyList_New(0);
+    if (plies == NULL)
+        return NULL;
+    int64_t root = 0;
+    for (int step = 0; n; step++) {
+        int64_t v = 0, ns = 0;
+        int i = 0;
+        if (best_ply(e, arr, n, &v, &i, &ns) < 0)
+            goto fail;
+        if (step == 0)
+            root = v;
+        PyObject *ply = Py_BuildValue("(iL)", i, (long long)ns);
+        if (ply == NULL || PyList_Append(plies, ply) < 0) {
+            Py_XDECREF(ply);
+            goto fail;
+        }
+        Py_DECREF(ply);
+        n = make_child(arr, n, i, ns, 0, buf);
+        memcpy(arr, buf, n * sizeof(int64_t));
+    }
+    return Py_BuildValue("(LN)", (long long)root, plies);
+fail:
+    Py_DECREF(plies);
+    return NULL;
+}
+
+static PyObject *Engine_stats(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    Engine *e = ready(self);
+    if (e == NULL)
+        return NULL;
+    PyObject *rows = PyList_New(0);
+    if (rows == NULL)
+        return NULL;
+    for (int w = 1; w <= MAX_N; w++) {
+        if (!(e->entries[w] | e->hits[w] | e->misses[w]))
+            continue;
+        PyObject *row = Py_BuildValue(
+            "{sKsKsKsKsN}", "entries", (unsigned long long)e->entries[w], "hits",
+            (unsigned long long)e->hits[w], "misses", (unsigned long long)e->misses[w],
+            "cap", (unsigned long long)e->memo_cap, "engine",
+            PyUnicode_FromFormat("native[%d]", w));
+        if (row == NULL || PyList_Append(rows, row) < 0) {
+            Py_XDECREF(row);
+            Py_DECREF(rows);
+            return NULL;
+        }
+        Py_DECREF(row);
+    }
+    return rows;
+}
+
+static Py_ssize_t Engine_len(PyObject *self)
+{
+    return (Py_ssize_t)((Engine *)self)->size;
+}
+
+static PyMethodDef Engine_methods[] = {
+    {"solve_value", Engine_solve_value, METH_O,
+     "Exact value of any position (either side to move)."},
+    {"line", Engine_line, METH_O,
+     "(value, plies): the principal line as (pile_index, new_size) pairs, "
+     "each against the canonical position it is played in."},
+    {"stats", Engine_stats, METH_NOARGS,
+     "One row per stored width w: entries, hits, misses, cap and engine "
+     "\"native[w]\"."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods Engine_as_sequence = {
+    .sq_length = Engine_len,
+};
+
+static PyTypeObject EngineType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "candynim.solver._kernel.NativeEngine",
+    .tp_doc = PyDoc_STR(
+        "NativeEngine(memo_cap): value search over one flat table of at most "
+        "memo_cap loser-to-move positions; len() is the number stored."),
+    .tp_basicsize = sizeof(Engine),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)Engine_init,
+    .tp_dealloc = (destructor)Engine_dealloc,
+    .tp_methods = Engine_methods,
+    .tp_as_sequence = &Engine_as_sequence,
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "candynim.solver._kernel",
+    .m_doc = "Compiled value engine with one flat, pair-stripped table.",
+    .m_size = -1,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    PyObject *errors = PyImport_ImportModule("candynim.errors");
+    if (errors == NULL)
+        return NULL;
+    EngineError = PyObject_GetAttrString(errors, "EngineError");
+    InvariantError = PyObject_GetAttrString(errors, "InvariantError");
+    MemoBudgetError = PyObject_GetAttrString(errors, "MemoBudgetError");
+    Py_DECREF(errors);
+    if (!EngineError || !InvariantError || !MemoBudgetError)
+        return NULL;
+    if (PyType_Ready(&EngineType) < 0)
+        return NULL;
+    PyObject *m = PyModule_Create(&kernel_module);
+    if (m == NULL)
+        return NULL;
+    Py_INCREF(&EngineType);
+    if (PyModule_AddObject(m, "NativeEngine", (PyObject *)&EngineType) < 0) {
+        Py_DECREF(&EngineType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
+}

@@ -172,13 +172,15 @@ def test_ac5_property_suites():
             if 2 * g[0] > total:
                 problems.append(f"oversized pile {g}")
 
-    # duplicate invariance, N(G) <= 12, a <= 8
+    # duplicate invariance, N(G) <= 12, a <= 8, on the plain engine: the
+    # kernel drops equal pairs before it searches
+    plain = Solver(engine="python")
     for total in range(2, 13, 2):
         for piles in _partitions(total, total, total):
             g = Game(piles)
-            base = _solver.solve(g).value
+            base = plain.solve(g).value
             for a in range(1, 9):
-                if _solver.solve(g + Game([a, a])).value != base:
+                if plain.solve(g + Game([a, a])).value != base:
                     problems.append(f"pair broke {g} + [{a},{a}]")
 
     # winner haul >= p-1 for duplicate-free P positions, p <= 4, piles <= 9

@@ -1,4 +1,4 @@
-"""``setup.py`` builds the kernel from the committed ``_kernel.cpp``.
+"""``setup.py`` builds the kernel from the hand-written ``_kernel.c``.
 
 The build runs out of tree, in the same shape as ``perfbench/run.py``, so
 the checkout gains no ``build/`` or ``egg-info`` directory.  The kernel it
@@ -21,9 +21,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 
 
-def _cxx_found() -> bool:
-    cxx = (os.environ.get("CXX") or sysconfig.get_config_var("CXX") or "").split()
-    return bool(cxx) and shutil.which(cxx[0]) is not None
+def _cc_found() -> bool:
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
+    return bool(cc) and shutil.which(cc[0]) is not None
 
 
 def _build(out: Path, **env: str) -> Path:
@@ -52,7 +52,7 @@ PROBE = ("import candynim.solver as s; from candynim import Game, solve; "
          "print(s.kernel_available(), solve(Game([1, 5, 16, 20])).value, s.__file__)")
 
 
-@pytest.mark.skipif(not _cxx_found(), reason="no C++ compiler")
+@pytest.mark.skipif(not _cc_found(), reason="no C compiler")
 def test_built_kernel_passes_the_solver_tests(tmp_path):
     lib = _build(tmp_path)
     assert _kernels(lib), "setup.py built no _kernel*.so"
@@ -69,7 +69,7 @@ def test_built_kernel_passes_the_solver_tests(tmp_path):
 
 
 def test_build_without_a_compiler_installs_pure_python(tmp_path):
-    lib = _build(tmp_path, CC="/bin/false", CXX="/bin/false")
+    lib = _build(tmp_path, CC="/bin/false")
     assert (lib / "candynim" / "solver" / "_python.py").is_file()
     assert _kernels(lib) == []
     probe = _run(lib, "-c", PROBE)

@@ -64,9 +64,11 @@ def test_value_nonnegative_and_parity(piles):
 @settings(max_examples=60, deadline=None)
 @given(small_piles, st.integers(min_value=1, max_value=8))
 def test_duplicate_pair_invariance(piles, a):
+    # on the plain engine: the kernel drops equal pairs before it searches
     g = _p_position(piles)
     assume(g.total <= 12)
-    assert solve(g + Game([a, a])).value == solve(g).value
+    plain = Solver(engine="python")
+    assert plain.solve(g + Game([a, a])).value == plain.solve(g).value
 
 
 @settings(max_examples=60, deadline=None)

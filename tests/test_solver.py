@@ -1,12 +1,16 @@
 """Exact solver: frozen values, engine parity, caps, determinism."""
 
 import inspect
+import io
 import sys
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from candynim.core import Game, Ply, loser_moves, winning_moves
+from candynim.cli import dispatch
+from candynim.core import Game, Ply, loser_moves, nim_sum, winning_moves
 from candynim.errors import MemoBudgetError, PileCapError
 from candynim.solver import (
     DEFAULT_ORACLE_CAP,
@@ -109,6 +113,45 @@ def test_engine_parity_on_small_sweep():
     assert len(wide) == 2858
     for g in small + wide:
         assert native.solve(g) == python.solve(g)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=8), max_size=4),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+)
+def test_kernel_pair_stripping_matches_the_plain_engine(piles, a, closed):
+    # the kernel drops equal pairs before it searches; the Python engine does not
+    if closed and nim_sum(piles):
+        piles = piles + [nim_sum(piles)]
+    g = Game(piles + [a, a])
+    assert Solver(engine="native").solve(g) == Solver(engine="python").solve(g)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_native_memo_cap_matches_the_python_engine():
+    g = Game([4, 5, 6, 7])
+    with pytest.raises(MemoBudgetError) as plain:
+        Solver(memo_cap=2, engine="python").solve(g)
+    with pytest.raises(MemoBudgetError) as native:
+        Solver(memo_cap=2, engine="native").solve(g)
+    assert str(native.value) == str(plain.value)
+    out = io.StringIO()
+    assert dispatch(["solve", "[4,5,6,7]", "--engine", "native", "--memo-cap", "2"], out=out) == 3
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_native_stats_rows_split_one_table_by_width():
+    s = Solver(engine="native")
+    for piles in ([1, 5, 16, 20], [31, 42, 53], [9, 9, 6, 5, 3, 3, 3]):
+        s.solve(Game(piles))
+    rows = s.stats()
+    # the 7-pile game is stored as [6, 5, 3]: its pairs are dropped
+    assert [row["engine"] for row in rows] == ["native[3]", "native[4]"]
+    assert sum(row["entries"] for row in rows) == len(s._native) > 0
+    assert sum(row["misses"] for row in rows) == len(s._native)
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
