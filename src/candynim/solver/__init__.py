@@ -33,7 +33,7 @@ from ..errors import (
     InvariantError,
     PileCapError,
 )
-from ._python import PyEngine, _child, _plies, oracle_entry
+from ._python import PyEngine, _child, _plies, _walk, oracle_entry
 
 try:
     from . import _kernel
@@ -116,29 +116,14 @@ def _solved(game: Game, line) -> SolveResult:
     return SolveResult(game, value, n_loser, n_winner, tuple([Ply(i, new) for i, new in plies]))
 
 
-def _walk(entry_fn, piles: tuple) -> tuple:
-    """``(value, plies)`` of the principal line, one ``entry_fn`` step each.
-
-    ``entry_fn`` gives a position's ``(value, ply_index, new_size)``; the
-    line follows its ply from each position down to the empty game.
-    """
-    value, plies = 0, []
-    while piles:
-        v, i, new = entry_fn(piles)
-        if not plies:
-            value = v
-        plies.append((i, new))
-        piles = _child(piles, i, new)
-    return value, plies
-
-
 def _with_room(total: int, fn, *args):
     """``fn(*args)`` with Python stack room for a game of ``total`` candies.
 
     The Python engine recurses about two frames per candy.  The recursion
     limit is raised for the call only and restored after it, so the host
     process keeps its own.  The request is clamped at
-    ``_MAX_RECURSION_LIMIT``.
+    ``_MAX_RECURSION_LIMIT``.  Kernel calls take the same path; the
+    kernel recurses on the C stack and never reads the limit.
     """
     need = 2 * total + 1000
     need = need if need < _MAX_RECURSION_LIMIT else _MAX_RECURSION_LIMIT
@@ -176,8 +161,6 @@ class Solver:
     games.  The kernel's keys carry each position's own width, with its
     equal pile pairs dropped, so a tail solved under one root is reused
     under another; the Python engine keys plain canonical tuples.
-    Only the Python engine recurses on the Python stack, so only its
-    calls raise the recursion limit, for the call alone.
     """
 
     def __init__(
@@ -246,9 +229,7 @@ class Solver:
         if not game:
             return 0
         eng = self._pick(game.piles)
-        if eng is self._py:
-            return _with_room(game.total, eng.solve_value, game.piles)
-        return eng.solve_value(game.piles)
+        return _with_room(game.total, eng.solve_value, game.piles)
 
     def solve(self, game: Game, workers: int = 1) -> SolveResult:
         """Value, candy split, and an optimal line.
@@ -263,9 +244,7 @@ class Solver:
         if workers > 1:
             return self._solve_parallel(game, workers)
         eng = self._pick(game.piles)
-        if eng is self._py:
-            return _solved(game, _with_room(game.total, _walk, eng.best_entry, game.piles))
-        return _solved(game, eng.line(game.piles))
+        return _solved(game, _with_room(game.total, eng.line, game.piles))
 
     def best_plies(self, game: Game) -> tuple[Ply, ...]:
         """Every value-optimal ply for the player to move, ascending.
@@ -278,9 +257,7 @@ class Solver:
         if not game:
             return ()
         eng = self._pick(game.piles)
-        if eng is self._py:
-            return _with_room(game.total, _best_plies, eng, game)
-        return _best_plies(eng, game)
+        return _with_room(game.total, _best_plies, eng, game)
 
     def oracle_solve(self, game: Game, max_total: int = DEFAULT_ORACLE_CAP) -> SolveResult:
         """Solve by memoless reference recursion (cross-check path).

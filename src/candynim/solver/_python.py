@@ -16,7 +16,8 @@ its entry cap.
 The oracle is one memoless function, :func:`oracle_entry`, which walks
 the mover's plies once for either side; :func:`oracle_value` is its
 first field.  It shares only :func:`_child` with the engine, so it stays
-an independent check of the memoized search.
+an independent check of the memoized search; :func:`_walk` strings the
+best entries of either into a principal line.
 
 Ties are broken identically everywhere, including in the oracle and the
 native kernel: among plies of equal value, prefer the smallest
@@ -36,6 +37,22 @@ def _child(piles: tuple, i: int, new: int) -> tuple:
     if not new:
         return rest
     return tuple(sorted(rest + (new,), reverse=True))
+
+
+def _walk(entry_fn, piles: tuple) -> tuple:
+    """``(value, plies)`` of the principal line, one ``entry_fn`` step each.
+
+    ``entry_fn`` gives a position's ``(value, ply_index, new_size)``; the
+    line follows its ply from each position down to the empty game.
+    """
+    value, plies = 0, []
+    while piles:
+        v, i, new = entry_fn(piles)
+        if not plies:
+            value = v
+        plies.append((i, new))
+        piles = _child(piles, i, new)
+    return value, plies
 
 
 class PyEngine:
@@ -132,6 +149,10 @@ class PyEngine:
                 if best is None or cand < best:
                     best = cand
         return best[0], best[2], best[3]
+
+    def line(self, piles: tuple) -> tuple:
+        """``(value, plies)`` of the principal line of a nonempty position."""
+        return _walk(self.best_entry, piles)
 
     def stats(self) -> dict:
         return {
