@@ -36,6 +36,7 @@ from .errors import (
 PILE_CAP = 2**32 - 1
 
 _GAME_RE = re.compile(r"^\s*(\[\s*(?P<inner>[^\[\]]*)\s*\]|(?P<bare>[^\[\]]*))\s*$")
+_PILE_RE = re.compile(r"\d+")
 
 
 class OutcomeClass(Enum):
@@ -93,7 +94,7 @@ class Game:
         piles = []
         for field in inner.split(","):
             field = field.strip()
-            if not re.fullmatch(r"\d+", field):
+            if not _PILE_RE.fullmatch(field):
                 raise ParseError(f"bad pile size {field!r} in game notation {text!r}")
             piles.append(int(field))
         return cls(piles)

@@ -5,7 +5,10 @@ a native kernel over a flat table of packed 64-bit keys, and the
 pure-Python engine in :mod:`candynim.solver._python`.  Both implement
 the same recursion and the same tie-break, so every result is
 engine-independent; ``auto`` simply prefers the kernel whenever the
-position fits its packing.
+position fits its packing.  Each engine answers three calls:
+``solve_value`` for a value, ``line`` for a principal line, and
+``scores`` for the score of every candidate ply of a position, the one
+scoring call behind :meth:`Solver.best_plies`.
 
 The kernel, ``candynim.solver._kernel``, is the hand-written C extension
 ``_kernel.c``; building it needs a C compiler.  Where it was not built,
@@ -251,13 +254,17 @@ class Solver:
 
         For a zero nim-sum position these are the loser's best grabs; for
         anything else, the winner's cheapest winning plies.  Ordered by
-        ``(pile_index, new_size)``.
+        ``(pile_index, new_size)``.  One engine call, ``scores``, scores
+        every candidate ply; the plies of the best score are kept.
         """
         self._check_caps(game)
         if not game:
             return ()
-        eng = self._pick(game.piles)
-        return _with_room(game.total, _best_plies, eng, game)
+        piles = game.piles
+        scores = _with_room(game.total, self._pick(piles).scores, piles)
+        best = max(scores)
+        plies = _plies(piles, game.grundy)
+        return tuple([Ply(i, new) for (i, new), score in zip(plies, scores) if score == best])
 
     def oracle_solve(self, game: Game, max_total: int = DEFAULT_ORACLE_CAP) -> SolveResult:
         """Solve by memoless reference recursion (cross-check path).
@@ -321,23 +328,6 @@ class Solver:
         line = (Ply(i, new),) + tuple(Ply(a, b) for a, b in child_line)
         n_loser, n_winner = _split(game.total, value)
         return SolveResult(game, value, n_loser, n_winner, line)
-
-
-def _best_plies(eng, game: Game) -> tuple[Ply, ...]:
-    """Every ply of the best score, scored as in :func:`oracle_entry`."""
-    piles = game.piles
-    g = game.grundy
-    sign = 1 if g == 0 else -1
-    best = None
-    out: list[tuple] = []
-    for i, new in _plies(piles, g):
-        child = _child(piles, i, new)
-        score = piles[i] - new + sign * (eng.solve_value(child) if child else 0)
-        if best is None or score > best:
-            best, out = score, [(i, new)]
-        elif score == best:
-            out.append((i, new))
-    return tuple(Ply(i, new) for i, new in out)
 
 
 def _solve_child_task(args):

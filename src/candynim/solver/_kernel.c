@@ -335,6 +335,15 @@ static PyObject *Engine_solve_value(PyObject *self, PyObject *piles)
     return v == FAIL ? NULL : PyLong_FromLongLong(v);
 }
 
+/* The new sizes [*lo, *hi) pile p may drop to at a position of nim-sum g:
+   every size for the loser (g == 0), for the winner only the one that
+   restores a zero nim-sum, if it is a reduction. */
+static void sizes(int64_t g, int64_t p, int64_t *lo, int64_t *hi)
+{
+    *lo = g ? g ^ p : 0;
+    *hi = !g ? p : *lo < p ? *lo + 1 : *lo;
+}
+
 /* The tie-break-optimal ply of a nonempty position: the best value, then
    the smallest child as a canonical tuple, then the smallest pile index,
    then the smallest new size.  Plies are scanned by index and size
@@ -351,11 +360,9 @@ static int best_ply(Engine *e, const int64_t *arr, int n, int64_t *value, int *p
     if (g == 0 && (target = value_of(e, arr, n)) == FAIL)
         return -1;
     for (int i = 0; i < n; i++) {
-        int64_t p = arr[i];
-        /* the loser may play every size, the winner only the one that
-           restores a zero nim-sum */
-        int64_t lo = g ? g ^ p : 0, hi = g ? lo + 1 : p;
-        for (int64_t ns = lo; ns < hi && ns < p; ns++) {
+        int64_t p = arr[i], lo, hi;
+        sizes(g, p, &lo, &hi);
+        for (int64_t ns = lo; ns < hi; ns++) {
             int m = make_child(arr, n, i, ns, 0, buf);
             uint64_t key = pack(buf, m, n);
             if (g == 0 && have && key >= best_key)
@@ -414,6 +421,43 @@ fail:
     return NULL;
 }
 
+/* The score of every candidate ply, in the order of _python._plies: pile
+   index, then new size, ascending.  A ply scores the candies it takes plus
+   the child's value when the loser moves, minus it when the winner moves. */
+static PyObject *Engine_scores(PyObject *self, PyObject *piles)
+{
+    Engine *e = ready(self);
+    int64_t arr[MAX_N], buf[MAX_N];
+    int n = e ? load(piles, arr) : -1;
+    if (n < 0)
+        return NULL;
+    int64_t g = nim_sum(arr, n), lo, hi;
+    Py_ssize_t count = 0;
+    for (int i = 0; i < n; i++) {
+        sizes(g, arr[i], &lo, &hi);
+        count += hi - lo;
+    }
+    PyObject *out = PyList_New(count);
+    if (out == NULL)
+        return NULL;
+    Py_ssize_t k = 0;
+    for (int i = 0; i < n; i++) {
+        int64_t p = arr[i];
+        sizes(g, p, &lo, &hi);
+        for (int64_t ns = lo; ns < hi; ns++) {
+            int m = make_child(arr, n, i, ns, 0, buf);
+            int64_t v = value_of(e, buf, m);
+            PyObject *score = v == FAIL ? NULL : PyLong_FromLongLong(p - ns + (g ? -v : v));
+            if (score == NULL) {
+                Py_DECREF(out);
+                return NULL;
+            }
+            PyList_SET_ITEM(out, k++, score);
+        }
+    }
+    return out;
+}
+
 static PyObject *Engine_stats(PyObject *self, PyObject *Py_UNUSED(ignored))
 {
     Engine *e = ready(self);
@@ -451,6 +495,8 @@ static PyMethodDef Engine_methods[] = {
     {"line", Engine_line, METH_O,
      "(value, plies): the principal line as (pile_index, new_size) pairs, "
      "each against the canonical position it is played in."},
+    {"scores", Engine_scores, METH_O,
+     "The score of every candidate ply, in the order of _python._plies."},
     {"stats", Engine_stats, METH_NOARGS,
      "One row per stored width w: entries, hits, misses, cap and engine "
      "\"native[w]\"."},

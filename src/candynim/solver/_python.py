@@ -62,6 +62,8 @@ class PyEngine:
     ``(value, ply_index, new_size)`` of its tie-break-optimal ply.  It
     raises :class:`MemoBudgetError` instead of growing past ``cap``
     entries; ``hits`` and ``misses`` count the probes of :meth:`_search`.
+    :meth:`scores` is the one call that scores every candidate ply of a
+    position; :meth:`line` walks :meth:`best_entry` down to the empty game.
     """
 
     name = "python"
@@ -149,6 +151,22 @@ class PyEngine:
                 if best is None or cand < best:
                     best = cand
         return best[0], best[2], best[3]
+
+    def scores(self, piles: tuple) -> list:
+        """The score of every candidate ply, in :func:`_plies` order.
+
+        A ply scores the candies it takes plus the child's value when the
+        loser moves, or minus it when the winner moves, as in
+        :func:`oracle_entry`; the best score is the value, negated for the
+        winner.
+        """
+        g = nim_sum(piles)
+        sign = 1 if g == 0 else -1
+        out = []
+        for i, new in _plies(piles, g):
+            child = _child(piles, i, new)
+            out.append(piles[i] - new + sign * (self.solve_value(child) if child else 0))
+        return out
 
     def line(self, piles: tuple) -> tuple:
         """``(value, plies)`` of the principal line of a nonempty position."""

@@ -45,9 +45,12 @@ def test_parse_accepts_both_notations():
     assert Game.parse("1, 2, 3") == Game([1, 2, 3])
     assert Game.parse("[]") == Game([])
     assert Game.parse(" [ 7 , 16 , 23 ] ") == Game([7, 16, 23])
+    assert Game.parse(" 12 ") == Game([12])
 
 
-@pytest.mark.parametrize("bad", ["[1,2", "1,2]", "[a,b]", "[1,,2]", "[-1]", "1 2"])
+@pytest.mark.parametrize(
+    "bad", ["[1,2", "1,2]", "[a,b]", "[1,,2]", "[-1]", "1 2", "+3", "3.0", "1_000", "0x1"]
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         Game.parse(bad)

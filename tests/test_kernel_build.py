@@ -4,7 +4,9 @@ The build runs out of tree, in the same shape as ``perfbench/run.py``, so
 the checkout gains no ``build/`` or ``egg-info`` directory.  The kernel it
 makes then runs the solver tests, engine parity included, in a fresh
 interpreter; without a compiler the same build still leaves a working
-pure-Python package.
+pure-Python package.  The source must also pass a strict C11 syntax check,
+``-Wall -Wextra -Wpedantic`` with every warning an error, so a warning in
+new kernel code fails here instead of scrolling past in the build log.
 """
 
 import os
@@ -21,8 +23,12 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 
 
+def _cc() -> list:
+    return (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
+
+
 def _cc_found() -> bool:
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
+    cc = _cc()
     return bool(cc) and shutil.which(cc[0]) is not None
 
 
@@ -66,6 +72,15 @@ def test_built_kernel_passes_the_solver_tests(tmp_path):
     summary = tests.stdout.strip().splitlines()[-1]
     assert tests.returncode == 0, tests.stdout + tests.stderr
     assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary
+
+
+@pytest.mark.skipif(not _cc_found(), reason="no C compiler")
+def test_kernel_source_compiles_without_warnings():
+    cmd = [*_cc(), "-std=c11", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+           "-fsyntax-only", "-I", sysconfig.get_paths()["include"],
+           str(ROOT / "src" / "candynim" / "solver" / "_kernel.c")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=TIMEOUT_S)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_build_without_a_compiler_installs_pure_python(tmp_path):

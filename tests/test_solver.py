@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from candynim.cli import dispatch
 from candynim.core import Game, Ply, loser_moves, nim_sum, winning_moves
-from candynim.errors import MemoBudgetError, PileCapError
+from candynim.errors import EngineError, MemoBudgetError, PileCapError
 from candynim.solver import (
     DEFAULT_ORACLE_CAP,
     SolveResult,
@@ -20,6 +20,7 @@ from candynim.solver import (
     packable,
     solve,
 )
+import candynim.solver as solver_mod
 from candynim.solver._python import PyEngine
 from candynim.allocation import _partitions
 
@@ -113,6 +114,8 @@ def test_engine_parity_on_small_sweep():
     assert len(wide) == 2858
     for g in small + wide:
         assert native.solve(g) == python.solve(g)
+        assert native.best_plies(g) == python.best_plies(g)
+        assert native._native.scores(g.piles) == python._py.scores(g.piles)
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
@@ -138,8 +141,32 @@ def test_native_memo_cap_matches_the_python_engine():
     with pytest.raises(MemoBudgetError) as native:
         Solver(memo_cap=2, engine="native").solve(g)
     assert str(native.value) == str(plain.value)
+    with pytest.raises(MemoBudgetError) as plain:
+        Solver(memo_cap=2, engine="python").best_plies(g)
+    with pytest.raises(MemoBudgetError) as native:
+        Solver(memo_cap=2, engine="native").best_plies(g)
+    assert str(native.value) == str(plain.value)
     out = io.StringIO()
     assert dispatch(["solve", "[4,5,6,7]", "--engine", "native", "--memo-cap", "2"], out=out) == 3
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+@pytest.mark.parametrize(
+    "piles,message",
+    [
+        ((1, 2), "piles must be canonical"),
+        ((2**31, 1), "pile 2147483648 does not fit 31 bits"),
+        ((1,) * 32, "kernel takes at most 31 piles, got 32"),
+    ],
+)
+def test_native_scores_rejects_what_line_rejects(piles, message):
+    eng = solver_mod._kernel.NativeEngine(100)
+    with pytest.raises(EngineError, match=message) as line:
+        eng.line(piles)
+    with pytest.raises(EngineError, match=message) as scores:
+        eng.scores(piles)
+    assert str(scores.value) == str(line.value)
+    assert eng.scores(()) == PyEngine(1).scores(()) == []
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
@@ -193,8 +220,6 @@ def test_oracle_and_best_plies_on_every_small_position():
 
 
 def test_oracle_never_touches_the_kernel(monkeypatch):
-    import candynim.solver as solver_mod
-
     class NoKernel:
         def __getattr__(self, name):
             raise AssertionError(f"oracle reached the kernel for {name}")
@@ -205,7 +230,6 @@ def test_oracle_never_touches_the_kernel(monkeypatch):
 
 
 def test_module_paths_share_one_default_solver(monkeypatch):
-    import candynim.solver as solver_mod
     from candynim.allocation import equality_family
     from candynim.bounds import standard_form_bounds
     from candynim.harness import verify_claim
