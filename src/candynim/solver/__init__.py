@@ -19,7 +19,12 @@ piles gives every pile a ``62 // n``-bit field, highest pile first, and
 stores that width beside the key.  A game fits when it packs at its own
 width.  Before it probes or searches a position the kernel drops every
 equal pile pair from it, which never changes a value; the Python engine
-keeps the pairs, so it stays an independent check of that shortcut.
+keeps the pairs, so it stays an independent check of that shortcut.  The
+kernel's value search also prunes: a nonempty zero nim-sum position of
+total ``t`` is worth at most ``t - 2``, since the winner takes the last
+candy, and a loser's ply whose bound from that fact cannot beat the best
+ply found is never searched.  The Python engine scans every ply, so it
+checks the pruning too.
 """
 
 from __future__ import annotations
@@ -294,7 +299,9 @@ class Solver:
         are dropped; ``cap`` is the whole table's.  In both engines
         ``entries`` counts the loser-to-move positions stored, and ``hits``
         and ``misses`` count table probes, one each time the engine reaches
-        a loser-to-move position, principal lines included.
+        a loser-to-move position, principal lines included.  The kernel's
+        search is pruned, so its hits and misses count the probes it makes,
+        not every loser-to-move position a full scan would reach.
         """
         out = self._native.stats() if self._native is not None else []
         if self._py is not None:

@@ -1,8 +1,8 @@
 /* Native value engine for candynim.solver.
 
    The recursion and tie-break are those of candynim.solver._python, with
-   two shortcuts the plain engine leaves out on purpose, so that it stays an
-   independent check of this one:
+   three shortcuts the plain engine leaves out on purpose, so that it stays
+   an independent check of this one:
 
    - Equal pile pairs are dropped before a position is probed or searched.
      A pair never changes the value, since the winner can mirror the loser
@@ -11,6 +11,12 @@
      against an equal old one.
    - The table stores values only.  line() finds each principal ply again by
      scanning the plies of the position it stands on.
+   - The value search is a branch-and-bound search.  A nonempty zero nim-sum
+     position of total t is worth at most t - 2, since the winner takes its
+     last candy; so a loser's ply is bounded, with no probe, through the
+     winner's replies to it, and skipped when the bound cannot beat the best
+     ply found.  The winner's fold over replies stops once the loser's ply
+     cannot beat that best either.  Only exact values reach the table.
 
    The table is one flat array per engine: 16-byte slots, linear probing
    over a power-of-two size, a splitmix64 hash.  It starts at MIN_SLOTS
@@ -148,7 +154,29 @@ static int grow(Engine *e)
     return 0;
 }
 
-static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g);
+static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t floor);
+
+/* An upper bound, with no probe, on the score of the loser's ply that drops
+   pile i to ns at a stripped loser-to-move position of total tot.  A winner
+   reply that takes reply candies leaves rest = tot - take - reply: nothing,
+   worth 0, or a nonempty zero nim-sum position, worth at most rest - 2.
+   The new pile ns has no reply, its restoring size being arr[i], so the
+   replies are on the other piles; the child's nim-sum is nonzero, so one
+   of them has one. */
+static int64_t ply_bound(const int64_t *arr, int n, int64_t tot, int i, int64_t ns)
+{
+    int64_t g = arr[i] ^ ns, take = arr[i] - ns, low = INT64_MAX;
+    for (int j = 0; j < n; j++) {
+        int64_t target = g ^ arr[j];
+        if (j == i || target >= arr[j])
+            continue;
+        int64_t reply = arr[j] - target, rest = tot - take - reply;
+        int64_t v = (rest ? rest - 2 : 0) - reply;
+        if (v < low)
+            low = v;
+    }
+    return take + low;
+}
 
 /* Value of a stripped loser-to-move position (nonempty, zero nim-sum). */
 static int64_t search(Engine *e, const int64_t *arr, int n)
@@ -162,14 +190,21 @@ static int64_t search(Engine *e, const int64_t *arr, int n)
     e->misses[n]++;
 
     /* Every child is nonempty with nim-sum p ^ ns, since a stripped P
-       position has at least three distinct piles. */
+       position has at least three distinct piles.  Small grabs come first,
+       so a high best is found early; a ply whose bound cannot beat it is
+       skipped, and a child's fold stops once it cannot either.  best stays
+       exact: only a child scored above it replaces it. */
     int64_t buf[MAX_N];
-    int64_t best = FAIL;
+    int64_t best = FAIL, tot = 0;
+    for (int j = 0; j < n; j++)
+        tot += arr[j];
     for (int i = 0; i < n; i++) {
         int64_t p = arr[i];
-        for (int64_t ns = 0; ns < p; ns++) {
+        for (int64_t ns = p - 1; ns >= 0; ns--) {
+            if (best != FAIL && ply_bound(arr, n, tot, i, ns) <= best)
+                continue;
             int m = make_child(arr, n, i, ns, 1, buf);
-            int64_t v = n_value(e, buf, m, p ^ ns);
+            int64_t v = n_value(e, buf, m, p ^ ns, best == FAIL ? FAIL : best - (p - ns));
             if (v == FAIL)
                 return FAIL;
             v += p - ns;
@@ -195,8 +230,11 @@ static int64_t search(Engine *e, const int64_t *arr, int n)
     return best;
 }
 
-/* Value of a stripped winner-to-move position; g is its nonzero nim-sum. */
-static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g)
+/* Value of a stripped winner-to-move position; g is its nonzero nim-sum.
+   The fold over the winner's replies stops once one scores at most floor
+   and returns that score, an upper bound on the value; a floor of FAIL
+   asks for the exact value. */
+static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t floor)
 {
     int64_t buf[MAX_N];
     int64_t best = INT64_MAX;
@@ -211,6 +249,8 @@ static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g)
         v -= arr[i] - target;
         if (v < best)
             best = v;
+        if (best <= floor)
+            break;
     }
     if (best == INT64_MAX) {
         PyErr_SetString(InvariantError, "no winning ply in an N position");
@@ -228,7 +268,7 @@ static int64_t value_of(Engine *e, const int64_t *arr, int n)
     if (n == 0)
         return 0;
     int64_t g = nim_sum(buf, n);
-    return g ? n_value(e, buf, n, g) : search(e, buf, n);
+    return g ? n_value(e, buf, n, g, FAIL) : search(e, buf, n);
 }
 
 /* Read a canonical pile sequence that packs at its own width; return its

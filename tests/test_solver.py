@@ -118,6 +118,46 @@ def test_engine_parity_on_small_sweep():
         assert native._native.scores(g.piles) == python._py.scores(g.piles)
 
 
+def _closed(piles: list, close: bool) -> list:
+    """``piles`` with their nim-sum added as a pile, a P position, if asked."""
+    return piles + [nim_sum(piles)] if close and nim_sum(piles) else piles
+
+
+# P and N positions of 3-6 piles, all above the 24-candy parity sweep
+WIDE_GAMES = st.builds(
+    _closed, st.lists(st.integers(min_value=1, max_value=20), min_size=2, max_size=6),
+    st.booleans(),
+).filter(lambda piles: 3 <= len(piles) <= 6 and sum(piles) > 24)
+
+
+@pytest.fixture(scope="module")
+def warm_engines():
+    """One native and one Python solver, shared by every example of a property."""
+    return Solver(engine="native"), Solver(engine="python")
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+@settings(max_examples=60, deadline=None)
+@given(WIDE_GAMES)
+def test_pruned_kernel_matches_the_plain_engine_above_the_sweep(warm_engines, piles):
+    # the kernel prunes its search; its warm table must still hold exact values
+    native, python = warm_engines
+    g = Game(piles)
+    assert native.solve(g) == python.solve(g)
+    assert native.best_plies(g) == python.best_plies(g)
+    assert native._native.scores(g.piles) == python._py.scores(g.piles)
+
+
+def test_p_position_value_leaves_the_winner_two_candies():
+    # the winner takes the last candy, so value = total - 2 * n_winner <= total - 2;
+    # the kernel prunes with this bound, so it is checked on the Python engine
+    s = Solver(engine="python")
+    games = [Game(p) for total in range(2, 21, 2) for p in _partitions(total, total, total)]
+    assert len(games) == 279
+    for g in games:
+        assert s.value(g) <= g.total - 2, g
+
+
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
 @settings(max_examples=60, deadline=None)
 @given(
@@ -127,9 +167,7 @@ def test_engine_parity_on_small_sweep():
 )
 def test_kernel_pair_stripping_matches_the_plain_engine(piles, a, closed):
     # the kernel drops equal pairs before it searches; the Python engine does not
-    if closed and nim_sum(piles):
-        piles = piles + [nim_sum(piles)]
-    g = Game(piles + [a, a])
+    g = Game(_closed(piles, closed) + [a, a])
     assert Solver(engine="native").solve(g) == Solver(engine="python").solve(g)
 
 
