@@ -4,11 +4,11 @@
 a native kernel over a flat table of packed 64-bit keys, and the
 pure-Python engine in :mod:`candynim.solver._python`.  Both implement
 the same recursion and the same tie-break, so every result is
-engine-independent; ``auto`` simply prefers the kernel whenever the
-position fits its packing.  Each engine answers three calls:
-``solve_value`` for a value, ``line`` for a principal line, and
-``scores`` for the score of every candidate ply of a position, the one
-scoring call behind :meth:`Solver.best_plies`.
+engine-independent; ``auto`` runs a game on the kernel whenever
+``_kernel.fits`` it.  Each engine answers three calls: ``solve_value``
+for a value, ``line`` for a principal line, and ``scores`` for the score
+of every candidate ply of a position, the one scoring call behind
+:meth:`Solver.best_plies`.
 
 The kernel, ``candynim.solver._kernel``, is the hand-written C extension
 ``_kernel.c``; building it needs a C compiler.  Where it was not built,
@@ -16,8 +16,9 @@ The kernel, ``candynim.solver._kernel``, is the hand-written C extension
 
 The kernel keys each position by its own width: a position of ``n``
 piles gives every pile a ``62 // n``-bit field, highest pile first, and
-stores that width beside the key.  A game fits when it packs at its own
-width.  Before it probes or searches a position the kernel drops every
+stores that width beside the key.  A kernel search past its depth budget
+raises :class:`BudgetError` (exit 3); ``engine="python"`` still answers
+it.  Before it probes or searches a position the kernel drops every
 equal pile pair from it, which never changes a value; the Python engine
 keeps the pairs, so it stays an independent check of that shortcut.  The
 kernel's value search also prunes: a nonempty zero nim-sum position of
@@ -52,27 +53,12 @@ DEFAULT_PILE_CAP = 2**16
 DEFAULT_MEMO_CAP = 10_000_000
 DEFAULT_ORACLE_CAP = 16
 
-# The kernel recurses on the C stack, one frame per candy, so very tall
-# games stay on the Python engine (heap frames) under auto selection.
-NATIVE_DEPTH_CAP = 10_000
-
 # The largest limit sys.setrecursionlimit accepts (it takes a C int).
 _MAX_RECURSION_LIMIT = 2**31 - 1
-
-_KEY_BITS = 62
-_MAX_SLOTS = 31  # must match the kernel's buffer width
 
 
 def kernel_available() -> bool:
     return _kernel is not None
-
-
-def packable(piles: tuple, slots: int) -> bool:
-    """Whether every pile fits the per-slot bit field of a ``slots``-wide key."""
-    if not 1 <= slots <= _MAX_SLOTS:
-        return False
-    bits = _KEY_BITS // slots
-    return len(piles) <= slots and (not piles or max(piles) < (1 << bits))
 
 
 @dataclass(frozen=True)
@@ -130,8 +116,8 @@ def _with_room(total: int, fn, *args):
     The Python engine recurses about two frames per candy.  The recursion
     limit is raised for the call only and restored after it, so the host
     process keeps its own.  The request is clamped at
-    ``_MAX_RECURSION_LIMIT``.  Kernel calls take the same path; the
-    kernel recurses on the C stack and never reads the limit.
+    ``_MAX_RECURSION_LIMIT``.  Only Python engine calls take this path;
+    the kernel recurses on the C stack under its own depth budget.
     """
     need = 2 * total + 1000
     need = need if need < _MAX_RECURSION_LIMIT else _MAX_RECURSION_LIMIT
@@ -160,8 +146,10 @@ class Solver:
 
     Args:
         engine: ``"auto"``, ``"native"``, or ``"python"``.  ``auto``
-            falls back per game; the explicit names raise
-            :class:`EngineError` when the request cannot be honored.
+            uses the kernel whenever it is built and ``_kernel.fits`` the
+            game, else Python.  ``native`` raises the kernel's errors:
+            :class:`EngineError` for a game it does not take,
+            :class:`BudgetError` for a search past its depth budget.
         pile_cap: largest root pile accepted by :meth:`solve`.
         memo_cap: transposition-table entry budget, per engine.
 
@@ -189,38 +177,18 @@ class Solver:
 
     # -- engine plumbing ------------------------------------------------
 
-    def _py_engine(self) -> PyEngine:
+    def _run(self, method: str, game: Game):
+        """``method(piles)`` on the kernel if asked for or, under auto, if it fits; else Python."""
+        piles = game.piles
+        if self.engine == "native" or (
+            self.engine == "auto" and _kernel is not None and _kernel.fits(piles)
+        ):
+            if self._native is None:
+                self._native = _kernel.NativeEngine(self.memo_cap)
+            return getattr(self._native, method)(piles)
         if self._py is None:
             self._py = PyEngine(self.memo_cap)
-        return self._py
-
-    def _native_engine(self):
-        if self._native is None:
-            self._native = _kernel.NativeEngine(self.memo_cap)
-        return self._native
-
-    def _pick(self, piles: tuple):
-        total = sum(piles)
-        if self.engine == "python":
-            return self._py_engine()
-        fits = (
-            _kernel is not None
-            and packable(piles, len(piles))
-            and total <= NATIVE_DEPTH_CAP
-        )
-        if fits:
-            return self._native_engine()
-        if self.engine == "native":
-            if total > NATIVE_DEPTH_CAP:
-                raise EngineError(
-                    f"total {total} exceeds the kernel recursion budget "
-                    f"{NATIVE_DEPTH_CAP}; use engine='python'"
-                )
-            raise EngineError(
-                f"{len(piles)} piles up to {max(piles)} do not fit a packed "
-                "64-bit key; use engine='python'"
-            )
-        return self._py_engine()
+        return _with_room(game.total, getattr(self._py, method), piles)
 
     def _check_caps(self, game: Game) -> None:
         if game and game[0] > self.pile_cap:
@@ -236,8 +204,7 @@ class Solver:
         self._check_caps(game)
         if not game:
             return 0
-        eng = self._pick(game.piles)
-        return _with_room(game.total, eng.solve_value, game.piles)
+        return self._run("solve_value", game)
 
     def solve(self, game: Game, workers: int = 1) -> SolveResult:
         """Value, candy split, and an optimal line.
@@ -251,8 +218,7 @@ class Solver:
             return SolveResult(game, 0, 0, 0, ())
         if workers > 1:
             return self._solve_parallel(game, workers)
-        eng = self._pick(game.piles)
-        return _solved(game, _with_room(game.total, eng.line, game.piles))
+        return _solved(game, self._run("line", game))
 
     def best_plies(self, game: Game) -> tuple[Ply, ...]:
         """Every value-optimal ply for the player to move, ascending.
@@ -265,10 +231,9 @@ class Solver:
         self._check_caps(game)
         if not game:
             return ()
-        piles = game.piles
-        scores = _with_room(game.total, self._pick(piles).scores, piles)
+        scores = self._run("scores", game)
         best = max(scores)
-        plies = _plies(piles, game.grundy)
+        plies = _plies(game.piles, game.grundy)
         return tuple([Ply(i, new) for (i, new), score in zip(plies, scores) if score == best])
 
     def oracle_solve(self, game: Game, max_total: int = DEFAULT_ORACLE_CAP) -> SolveResult:

@@ -27,8 +27,14 @@
    key, since keys of different widths can coincide.  Only loser-to-move
    (zero nim-sum) positions are stored.
 
-   The search recurses on the C stack, at most one frame per candy; the
-   facade keeps games taller than its depth cap off the kernel. */
+   The search recurses on the C stack under a budget of MAX_TURNS nested
+   searches per value_of call; a table miss past it raises BudgetError.  A
+   stripped P position d searches deep holds at least 6 candies ([3, 2, 1])
+   and, as each loser ply and winner reply takes one or more, at most
+   T - 2(d - 1) of the root's T: a root of at most 10,000 candies searches
+   at most 4,998 deep.  Only exact values are stored, so the table outlives
+   a budget error.  fits() runs load, so only this file knows which games
+   the kernel takes. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -38,9 +44,10 @@
 #define MAX_N 31
 #define KEY_BITS 62
 #define MIN_SLOTS 1024
+#define MAX_TURNS 5000 /* search depth budget of one value_of call */
 #define FAIL INT64_MIN /* a search that set a Python error */
 
-static PyObject *EngineError, *InvariantError, *MemoBudgetError;
+static PyObject *BudgetError, *EngineError, *InvariantError, *MemoBudgetError;
 
 typedef struct {
     uint64_t key;
@@ -154,7 +161,8 @@ static int grow(Engine *e)
     return 0;
 }
 
-static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t floor);
+static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t floor,
+                       int turns);
 
 /* An upper bound, with no probe, on the score of the loser's ply that drops
    pile i to ns at a stripped loser-to-move position of total tot.  A winner
@@ -178,8 +186,9 @@ static int64_t ply_bound(const int64_t *arr, int n, int64_t tot, int i, int64_t 
     return take + low;
 }
 
-/* Value of a stripped loser-to-move position (nonempty, zero nim-sum). */
-static int64_t search(Engine *e, const int64_t *arr, int n)
+/* Value of a stripped loser-to-move position (nonempty, zero nim-sum),
+   with turns nested searches left. */
+static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
 {
     uint64_t key = pack(arr, n, n);
     Slot *s = find(e, key, n);
@@ -188,6 +197,11 @@ static int64_t search(Engine *e, const int64_t *arr, int n)
         return s->value;
     }
     e->misses[n]++;
+    if (turns == 0) {
+        PyErr_SetString(BudgetError, "search passed the kernel's depth budget of "
+                        Py_STRINGIFY(MAX_TURNS) " turns; use --engine python");
+        return FAIL;
+    }
 
     /* Every child is nonempty with nim-sum p ^ ns, since a stripped P
        position has at least three distinct piles.  Small grabs come first,
@@ -204,7 +218,8 @@ static int64_t search(Engine *e, const int64_t *arr, int n)
             if (best != FAIL && ply_bound(arr, n, tot, i, ns) <= best)
                 continue;
             int m = make_child(arr, n, i, ns, 1, buf);
-            int64_t v = n_value(e, buf, m, p ^ ns, best == FAIL ? FAIL : best - (p - ns));
+            int64_t v = n_value(e, buf, m, p ^ ns, best == FAIL ? FAIL : best - (p - ns),
+                                turns - 1);
             if (v == FAIL)
                 return FAIL;
             v += p - ns;
@@ -233,8 +248,9 @@ static int64_t search(Engine *e, const int64_t *arr, int n)
 /* Value of a stripped winner-to-move position; g is its nonzero nim-sum.
    The fold over the winner's replies stops once one scores at most floor
    and returns that score, an upper bound on the value; a floor of FAIL
-   asks for the exact value. */
-static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t floor)
+   asks for the exact value.  turns is the budget of the searches below. */
+static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t floor,
+                       int turns)
 {
     int64_t buf[MAX_N];
     int64_t best = INT64_MAX;
@@ -243,7 +259,7 @@ static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t 
         if (target >= arr[i])
             continue;
         int m = make_child(arr, n, i, target, 1, buf);
-        int64_t v = m ? search(e, buf, m) : 0;
+        int64_t v = m ? search(e, buf, m, turns) : 0;
         if (v == FAIL)
             return FAIL;
         v -= arr[i] - target;
@@ -268,7 +284,7 @@ static int64_t value_of(Engine *e, const int64_t *arr, int n)
     if (n == 0)
         return 0;
     int64_t g = nim_sum(buf, n);
-    return g ? n_value(e, buf, n, g, FAIL) : search(e, buf, n);
+    return g ? n_value(e, buf, n, g, FAIL, MAX_TURNS) : search(e, buf, n, MAX_TURNS);
 }
 
 /* Read a canonical pile sequence that packs at its own width; return its
@@ -317,6 +333,18 @@ static int load(PyObject *piles, int64_t *arr)
         return -1;
     }
     return (int)n;
+}
+
+/* Whether load accepts piles; any error but its EngineError propagates. */
+static PyObject *fits(PyObject *Py_UNUSED(module), PyObject *piles)
+{
+    int64_t arr[MAX_N];
+    if (load(piles, arr) >= 0)
+        Py_RETURN_TRUE;
+    if (!PyErr_ExceptionMatches(EngineError))
+        return NULL;
+    PyErr_Clear();
+    Py_RETURN_FALSE;
 }
 
 static int Engine_init(Engine *self, PyObject *args, PyObject *kwds)
@@ -562,11 +590,17 @@ static PyTypeObject EngineType = {
     .tp_as_sequence = &Engine_as_sequence,
 };
 
+static PyMethodDef kernel_methods[] = {
+    {"fits", fits, METH_O, "Whether the kernel takes piles, a canonical pile sequence."},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "candynim.solver._kernel",
     .m_doc = "Compiled value engine with one flat, pair-stripped table.",
     .m_size = -1,
+    .m_methods = kernel_methods,
 };
 
 PyMODINIT_FUNC PyInit__kernel(void)
@@ -574,11 +608,12 @@ PyMODINIT_FUNC PyInit__kernel(void)
     PyObject *errors = PyImport_ImportModule("candynim.errors");
     if (errors == NULL)
         return NULL;
+    BudgetError = PyObject_GetAttrString(errors, "BudgetError");
     EngineError = PyObject_GetAttrString(errors, "EngineError");
     InvariantError = PyObject_GetAttrString(errors, "InvariantError");
     MemoBudgetError = PyObject_GetAttrString(errors, "MemoBudgetError");
     Py_DECREF(errors);
-    if (!EngineError || !InvariantError || !MemoBudgetError)
+    if (!BudgetError || !EngineError || !InvariantError || !MemoBudgetError)
         return NULL;
     if (PyType_Ready(&EngineType) < 0)
         return NULL;

@@ -21,6 +21,7 @@ from candynim.harness import (
     summary_table,
     verify_claim,
 )
+from candynim.solver import kernel_available
 from candynim.strategies import (
     StrategyTrace,
     flip_flop_policy,
@@ -41,6 +42,9 @@ BOUND_SWEEPS = ("standard-form-interval", "family-offset-lower", "neighbor-trans
 # code cannot catch a change that is deterministic, so the bytes are pinned
 SMOKE_REPORT_SHA256 = "5b6704ca7a5f9a11d22c2d186f6b43d977f98ebcb55787c91314d777d1940b76"
 SMOKE_BOUNDS_SHA256 = "7e9bf564080e7226b60e5cb1523708389dbdc6d4963d619e167e83a007793748"
+# extended is the one profile with games the kernel does not take, so its
+# bytes also guard the engine pick
+EXTENDED_REPORT_SHA256 = "b2cda7a0e8150ad92fdffd1ef59f566f091a586e4202639616debfcfe08cb42f"
 
 
 def test_registry_is_complete_and_sorted():
@@ -189,3 +193,10 @@ def test_render_empty_trace():
 
 def test_desk_runs_are_byte_identical():
     assert report_lines(run_all("desk")) == report_lines(run_all("desk"))
+
+
+@pytest.mark.skipif(not kernel_available(), reason="pure Python is too slow for extended")
+def test_extended_report_bytes_are_pinned():
+    out = io.StringIO()
+    assert dispatch(["verify", "all", "--profile", "extended", "--format", "json"], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == EXTENDED_REPORT_SHA256

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from candynim.cli import dispatch
 from candynim.core import Game, Ply, loser_moves, nim_sum, winning_moves
-from candynim.errors import EngineError, MemoBudgetError, PileCapError
+from candynim.errors import BudgetError, EngineError, MemoBudgetError, PileCapError
 from candynim.solver import (
     DEFAULT_ORACLE_CAP,
     SolveResult,
     Solver,
     kernel_available,
-    packable,
     solve,
 )
 import candynim.solver as solver_mod
@@ -204,7 +203,43 @@ def test_native_scores_rejects_what_line_rejects(piles, message):
     with pytest.raises(EngineError, match=message) as scores:
         eng.scores(piles)
     assert str(scores.value) == str(line.value)
+    assert not solver_mod._kernel.fits(piles)
     assert eng.scores(()) == PyEngine(1).scores(()) == []
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_facade_leaves_the_pick_to_the_kernel():
+    # a pile past its 31-bit field: native passes on the kernel's error, auto uses Python
+    g = Game([2**31, 1])
+    with pytest.raises(EngineError, match="pile 2147483648 does not fit 31 bits"):
+        Solver(engine="native", pile_cap=2**32 - 1).value(g)
+    auto = Solver(pile_cap=2**32 - 1)
+    assert auto.value(g) == Solver(engine="python", pile_cap=2**32 - 1).value(g) == 1 - 2**31
+    assert auto._native is None
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_auto_solves_tall_pair_heavy_games_on_the_kernel():
+    # far past a 10,000-candy total, but nothing is left once the pair is dropped
+    s = Solver()
+    assert s.value(Game([65536, 65536])) == 0
+    r = s.solve(Game([5001, 5001]))
+    assert r.value == 0
+    assert sum(take for _, mover, _, take in r.steps() if mover == "L") == r.n_loser == 5001
+    assert s._py is None
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_kernel_depth_budget_ends_in_exit_3():
+    s = Solver()
+    with pytest.raises(BudgetError, match="depth budget of 5000 turns"):
+        s.value(Game([12704, 12000, 8000]))
+    assert s._py is None
+    assert dispatch(["solve", "[12704,12000,8000]"], out=io.StringIO()) == 3
+    # only exact values reach the table, so the solver stays sound after the error
+    python = Solver(engine="python")
+    for piles in ([1, 5, 16, 20], [31, 42, 53], [7, 8, 15], [9, 6, 15], [5, 4, 3, 2]):
+        assert s.solve(Game(piles)) == python.solve(Game(piles))
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
@@ -223,7 +258,7 @@ def test_native_stats_rows_split_one_table_by_width():
 def test_auto_engine_falls_back_when_unpackable():
     # 33 piles cannot pack into the native key; auto must still answer
     wide = Game([2, 2] * 16 + [1])
-    assert not packable(wide.piles, 31)
+    assert not solver_mod._kernel.fits(wide.piles)
     r = Solver(engine="auto").solve(wide)
     # pair invariance: worth the same as the lone [1]
     assert r.value == Solver(engine="python").solve(wide).value == -1
