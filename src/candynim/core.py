@@ -144,11 +144,32 @@ class Game:
             )
         return old
 
+    @classmethod
+    def _canonical(cls, piles: tuple[int, ...]) -> "Game":
+        """Wrap a tuple that is already canonical and validated, unchecked."""
+        game = object.__new__(cls)
+        object.__setattr__(game, "piles", piles)
+        return game
+
     def apply(self, ply: "Ply") -> "Game":
-        """The position after ``ply``, back in canonical form."""
+        """The position after ``ply``, back in canonical form.
+
+        Edits the canonical tuple in place of re-canonicalising it: pile
+        ``i`` is cut out and ``new_size``, which is below it, is inserted
+        where the descending order puts it, so the cost is linear in the
+        pile count.  A ``new_size`` that is not a plain ``int`` goes
+        through ``Game()``, which validates it.
+        """
         self._old_size(ply)
-        rest = self.piles[: ply.pile_index] + self.piles[ply.pile_index + 1 :]
-        return Game(rest + ((ply.new_size,) if ply.new_size else ()))
+        piles, i, new = self.piles, ply.pile_index, ply.new_size
+        if not new:
+            return Game._canonical(piles[:i] + piles[i + 1 :])
+        if type(new) is not int:
+            return Game(piles[:i] + piles[i + 1 :] + (new,))
+        j = i + 1
+        while j < len(piles) and piles[j] > new:
+            j += 1
+        return Game._canonical(piles[:i] + piles[i + 1 : j] + (new,) + piles[j:])
 
     def candies(self, ply: "Ply") -> int:
         """How much the mover banks by playing ``ply`` here."""
@@ -273,13 +294,29 @@ def _pile_change(g: Game, h: Game) -> tuple[int, int]:
     """``(old_size, new_size)`` of the one pile that shrank from g to h.
 
     ``new_size`` is 0 when the pile emptied.  Raises IllegalMoveError
-    unless h arises from g by reducing exactly one pile.
+    unless h arises from g by reducing exactly one pile.  Reads the
+    canonical tuples as they are in place of re-counting them as
+    multisets: one merge walk over the two descending sequences collects
+    the sizes only in g and the sizes only in h.
     """
-    gone = Counter(g.piles) - Counter(h.piles)
-    came = Counter(h.piles) - Counter(g.piles)
-    if gone.total() == 1 and came.total() <= 1:
-        (old,) = gone
-        new = next(iter(came), 0)
+    a, b = g.piles, h.piles
+    gone, came = [], []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            i += 1
+            j += 1
+        elif a[i] > b[j]:
+            gone.append(a[i])
+            i += 1
+        else:
+            came.append(b[j])
+            j += 1
+    gone += a[i:]
+    came += b[j:]
+    if len(gone) == 1 and len(came) <= 1:
+        old = gone[0]
+        new = came[0] if came else 0
         if new < old:
             return old, new
     raise IllegalMoveError(f"{h} is not one ply away from {g}")

@@ -47,6 +47,17 @@
 #define MAX_TURNS 5000 /* search depth budget of one value_of call */
 #define FAIL INT64_MIN /* a search that set a Python error */
 
+/* KEY_BITS / n, the field width of a pile in an n-pile key, so that no
+   probe divides; the empty game gets all of KEY_BITS. */
+static const int FIELD_BITS[MAX_N + 1] = {
+    KEY_BITS, KEY_BITS / 1, KEY_BITS / 2, KEY_BITS / 3, KEY_BITS / 4, KEY_BITS / 5,
+    KEY_BITS / 6, KEY_BITS / 7, KEY_BITS / 8, KEY_BITS / 9, KEY_BITS / 10, KEY_BITS / 11,
+    KEY_BITS / 12, KEY_BITS / 13, KEY_BITS / 14, KEY_BITS / 15, KEY_BITS / 16, KEY_BITS / 17,
+    KEY_BITS / 18, KEY_BITS / 19, KEY_BITS / 20, KEY_BITS / 21, KEY_BITS / 22, KEY_BITS / 23,
+    KEY_BITS / 24, KEY_BITS / 25, KEY_BITS / 26, KEY_BITS / 27, KEY_BITS / 28, KEY_BITS / 29,
+    KEY_BITS / 30, KEY_BITS / 31
+};
+
 static PyObject *BudgetError, *EngineError, *InvariantError, *MemoBudgetError;
 
 typedef struct {
@@ -112,7 +123,7 @@ static int64_t nim_sum(const int64_t *arr, int n)
    Packed keys of one slot count order like canonical tuples. */
 static uint64_t pack(const int64_t *arr, int n, int slots)
 {
-    int bits = KEY_BITS / slots;
+    int bits = FIELD_BITS[slots];
     uint64_t key = 0;
     for (int j = 0; j < slots; j++) {
         key <<= bits;
@@ -300,7 +311,7 @@ static int load(PyObject *piles, int64_t *arr)
         Py_DECREF(seq);
         return -1;
     }
-    int bits = n ? KEY_BITS / (int)n : KEY_BITS;
+    int bits = FIELD_BITS[n];
     int64_t total = 0;
     for (Py_ssize_t j = 0; j < n; j++) {
         PyObject *item = PySequence_Fast_GET_ITEM(seq, j);

@@ -1,17 +1,21 @@
 """Randomized invariants over small games."""
 
+from collections import Counter
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from candynim.core import (
     Game,
     Ply,
+    _pile_change,
     game_sum,
     nim_sum,
     unique_response,
     winning_moves,
     xor_adjacent,
 )
+from candynim.errors import IllegalMoveError, ParseError
 from candynim.solver import Solver, solve
 
 small_piles = st.lists(st.integers(min_value=0, max_value=9), max_size=5)
@@ -112,3 +116,91 @@ def test_winning_move_count_is_odd(piles):
     g = Game(piles)
     assume(g.grundy != 0)
     assert len(winning_moves(g)) % 2 == 1
+
+
+def _apply_reference(g, ply):
+    """``Game.apply`` by its definition: cut the pile, re-canonicalise."""
+    g._old_size(ply)
+    rest = g.piles[: ply.pile_index] + g.piles[ply.pile_index + 1 :]
+    return Game(rest + ((ply.new_size,) if ply.new_size else ()))
+
+
+def _pile_change_reference(g, h):
+    """``_pile_change`` by multiset difference, independent of the merge walk."""
+    gone = Counter(g.piles) - Counter(h.piles)
+    came = Counter(h.piles) - Counter(g.piles)
+    if gone.total() == 1 and came.total() <= 1:
+        (old,) = gone
+        new = next(iter(came), 0)
+        if new < old:
+            return old, new
+    raise IllegalMoveError(f"{h} is not one ply away from {g}")
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# sizes up to 6 make repeated piles common
+repeating_piles = st.lists(st.integers(min_value=0, max_value=6), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_piles)
+def test_apply_matches_its_reference_on_every_ply(piles):
+    g = Game(piles)
+    for i, p in enumerate(g.piles):
+        for new in range(p):
+            ply = Ply(i, new)
+            child = g.apply(ply)
+            assert type(child.piles) is tuple
+            assert child == _apply_reference(g, ply)
+            assert child.piles == tuple(sorted(child.piles, reverse=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_piles, st.integers(min_value=0, max_value=3))
+def test_apply_rejects_bad_plies_like_its_reference(piles, k):
+    g = Game(piles)
+    bad = [Ply(len(g) + k, 0), Ply(-1 - k, 0)]
+    for i, p in enumerate(g.piles):
+        bad += [Ply(i, p + k), Ply(i, -1 - k), Ply(i, True), Ply(i, 2.5)]
+    for ply in bad:
+        want = _outcome(_apply_reference, g, ply)
+        assert isinstance(want, tuple), ply  # the reference raised
+        assert _outcome(g.apply, ply) == want
+
+
+def test_apply_keeps_the_edge_cases_of_its_definition():
+    g = Game([5, 3, 3])
+    assert _outcome(g.apply, Ply(1, True)) == (ParseError, "pile sizes must be integers, got True")
+    assert _outcome(g.apply, Ply(0, 2.5)) == (ParseError, "pile sizes must be integers, got 2.5")
+    for zero in (0, 0.0, False):
+        assert g.apply(Ply(0, zero)).piles == (3, 3)
+    assert g.apply(Ply(0, 3)).piles == (3, 3, 3)
+    assert g.apply(Ply(2, 0)).piles == (5, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_piles, repeating_piles, st.integers(min_value=1, max_value=6))
+def test_pile_change_matches_the_counter_definition(piles, other, d):
+    g = Game(piles)
+    pairs = [(g, g), (g, Game(other)), (Game(other), g)]
+    pairs += [
+        (g, _apply_reference(g, Ply(i, new))) for i, p in enumerate(g.piles) for new in range(p)
+    ]
+    for i in range(len(g)):
+        grown = g.piles[:i] + (g.piles[i] + d,) + g.piles[i + 1 :]
+        pairs.append((g, Game(grown)))
+        for j in range(i + 1, len(g)):
+            two = list(g.piles)
+            two[i] -= 1
+            two[j] = max(two[j] - d, 0)
+            pairs.append((g, Game(two)))
+    pairs += [(g, g + Game([d])), (g, g + Game([d, d + 1]))]
+    for a, b in pairs:
+        assert _outcome(_pile_change, a, b) == _outcome(_pile_change_reference, a, b)
