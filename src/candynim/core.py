@@ -9,8 +9,10 @@ concedes as little as possible.
 
 This module holds the position model shared by everything else: the
 canonical :class:`Game`, single plies, validated loser/winner turn pairs,
-the 𝔊(a, m, x) three-pile family, and small closed-form helpers.  The
-value recursion itself lives in :mod:`candynim.solver`.
+the 𝔊(a, m, x) three-pile family, and small closed-form helpers.
+:func:`_child` is the one successor helper: :meth:`Game.apply`, both
+engines and the oracle all step from a canonical tuple to its child
+through it.  The value recursion itself lives in :mod:`candynim.solver`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ def nim_sum(piles: Iterable[int]) -> int:
     for p in piles:
         total ^= p
     return total
+
+
+def _child(piles: tuple, i: int, new: int) -> tuple:
+    """Canonical successor of canonical ``piles`` after pile ``i`` drops to ``new``.
+
+    Edits the tuple in place of re-canonicalising it: pile ``i`` is cut
+    out and ``new``, which is below it, is inserted where the descending
+    order puts it, so the cost is linear in the pile count.  A falsy
+    ``new`` drops the pile.
+    """
+    if not new:
+        return piles[:i] + piles[i + 1 :]
+    j = i + 1
+    while j < len(piles) and piles[j] > new:
+        j += 1
+    return piles[:i] + piles[i + 1 : j] + (new,) + piles[j:]
 
 
 @dataclass(frozen=True, order=True)
@@ -154,22 +172,15 @@ class Game:
     def apply(self, ply: "Ply") -> "Game":
         """The position after ``ply``, back in canonical form.
 
-        Edits the canonical tuple in place of re-canonicalising it: pile
-        ``i`` is cut out and ``new_size``, which is below it, is inserted
-        where the descending order puts it, so the cost is linear in the
-        pile count.  A ``new_size`` that is not a plain ``int`` goes
-        through ``Game()``, which validates it.
+        A linear edit of the canonical tuple through :func:`_child`.  A
+        falsy ``new_size`` drops the pile; any other ``new_size`` that is
+        not a plain ``int`` goes through ``Game()``, which validates it.
         """
         self._old_size(ply)
         piles, i, new = self.piles, ply.pile_index, ply.new_size
-        if not new:
-            return Game._canonical(piles[:i] + piles[i + 1 :])
-        if type(new) is not int:
+        if new and type(new) is not int:
             return Game(piles[:i] + piles[i + 1 :] + (new,))
-        j = i + 1
-        while j < len(piles) and piles[j] > new:
-            j += 1
-        return Game._canonical(piles[:i] + piles[i + 1 : j] + (new,) + piles[j:])
+        return Game._canonical(_child(piles, i, new))
 
     def candies(self, ply: "Ply") -> int:
         """How much the mover banks by playing ``ply`` here."""

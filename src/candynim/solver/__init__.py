@@ -35,14 +35,14 @@ import multiprocessing
 import sys
 from dataclasses import dataclass
 
-from ..core import Game, Ply
+from ..core import Game, Ply, _child
 from ..errors import (
     BudgetError,
     EngineError,
     InvariantError,
     PileCapError,
 )
-from ._python import PyEngine, _child, _plies, _walk, oracle_entry
+from ._python import PyEngine, _best_entry, _best_plies, _plies, _walk, oracle_entry
 
 try:
     from . import _kernel
@@ -232,9 +232,7 @@ class Solver:
         if not game:
             return ()
         scores = self._run("scores", game)
-        best = max(scores)
-        plies = _plies(game.piles, game.grundy)
-        return tuple([Ply(i, new) for (i, new), score in zip(plies, scores) if score == best])
+        return tuple([Ply(i, new) for i, new in _best_plies(game.piles, scores)])
 
     def oracle_solve(self, game: Game, max_total: int = DEFAULT_ORACLE_CAP) -> SolveResult:
         """Solve by memoless reference recursion (cross-check path).
@@ -286,17 +284,10 @@ class Solver:
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=workers) as pool:
             solved = pool.map(_solve_child_task, tasks)
-        best = None
-        for (i, new), (child_value, child_line) in zip(plies, solved):
-            child = _child(piles, i, new)
-            take = piles[i] - new
-            v = take + child_value if g == 0 else child_value - take
-            rank = (-v if g == 0 else v, child, i, new)
-            if best is None or rank < best[0]:
-                best = (rank, v, i, new, child_line)
-        if best is None:
-            raise InvariantError(f"no root plies in nonempty game {game}")
-        _, value, i, new, child_line = best
+        sign = 1 if g == 0 else -1
+        scores = [piles[i] - new + sign * v for (i, new), (v, _) in zip(plies, solved)]
+        value, i, new = _best_entry(piles, scores)
+        child_line = solved[plies.index((i, new))][1]
         line = (Ply(i, new),) + tuple(Ply(a, b) for a, b in child_line)
         n_loser, n_winner = _split(game.total, value)
         return SolveResult(game, value, n_loser, n_winner, line)

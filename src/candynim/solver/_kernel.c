@@ -1,7 +1,9 @@
 /* Native value engine for candynim.solver.
 
-   The recursion and tie-break are those of candynim.solver._python, with
-   three shortcuts the plain engine leaves out on purpose, so that it stays
+   The recursion and tie-break are those of candynim.solver._python.  As
+   there, the table stores values only, and line() finds each principal ply
+   again by scanning the plies of the position it stands on.  It takes two
+   shortcuts that the plain engine leaves out on purpose, so that it stays
    an independent check of this one:
 
    - Equal pile pairs are dropped before a position is probed or searched.
@@ -9,8 +11,6 @@
      inside it, and the nim-sum stays the same.  A stripped position has
      distinct piles, so a child of one only needs to cancel its new pile
      against an equal old one.
-   - The table stores values only.  line() finds each principal ply again by
-     scanning the plies of the position it stands on.
    - The value search is a branch-and-bound search.  A nonempty zero nim-sum
      position of total t is worth at most t - 2, since the winner takes its
      last candy; so a loser's ply is bounded, with no probe, through the

@@ -6,18 +6,21 @@ loser is to move and may play anything, so the value is the best of
 winner is to move but only plies restoring a zero nim-sum keep the win,
 so the value is the least ``V(child) - candies_taken`` over those.
 
-Only loser-to-move (P) positions are memoized.  A winner position's
-value is a fold over at most one winning reply per pile, so caching it
-would buy back a handful of dict lookups at the price of storing the far
-larger N-side state space; the side to move is therefore implicit in
-every table key.  The table is a plain dict on the engine, bounded by
-its entry cap.
+Only loser-to-move (P) positions are memoized, and the table stores
+their values only.  A winner position's value is a fold over at most one
+winning reply per pile, so caching it would buy back a handful of dict
+lookups at the price of storing the far larger N-side state space; the
+side to move is therefore implicit in every table key.  The table is a
+plain dict on the engine, bounded by its entry cap.  A principal ply is
+found again by rescoring the plies of the position it is played in, as
+the native kernel does.
 
 The oracle is one memoless function, :func:`oracle_entry`, which walks
 the mover's plies once for either side; :func:`oracle_value` is its
-first field.  It shares only :func:`_child` with the engine, so it stays
-an independent check of the memoized search; :func:`_walk` strings the
-best entries of either into a principal line.
+first field.  It shares only the successor helper ``core._child`` and
+the ply generator :func:`_plies` with the engine, so it stays an
+independent check of the memoized search; :func:`_walk` strings the best
+entries of either into a principal line.
 
 Ties are broken identically everywhere, including in the oracle and the
 native kernel: among plies of equal value, prefer the smallest
@@ -27,16 +30,8 @@ canonical descending tuples.
 
 from __future__ import annotations
 
-from ..core import nim_sum
+from ..core import _child, nim_sum
 from ..errors import InvariantError, MemoBudgetError, NoMovesError
-
-
-def _child(piles: tuple, i: int, new: int) -> tuple:
-    """Canonical successor after pile ``i`` drops to ``new``."""
-    rest = piles[:i] + piles[i + 1 :]
-    if not new:
-        return rest
-    return tuple(sorted(rest + (new,), reverse=True))
 
 
 def _walk(entry_fn, piles: tuple) -> tuple:
@@ -55,15 +50,40 @@ def _walk(entry_fn, piles: tuple) -> tuple:
     return value, plies
 
 
+def _best_plies(piles: tuple, scores: list) -> list:
+    """The plies of ``piles`` whose score is the best of ``scores``.
+
+    ``scores`` holds one score per ply in :func:`_plies` order, as
+    :meth:`PyEngine.scores` gives them; the plies come back as
+    ``(pile_index, new_size)`` in that order.
+    """
+    best = max(scores)
+    plies = _plies(piles, nim_sum(piles))
+    return [ply for ply, score in zip(plies, scores) if score == best]
+
+
+def _best_entry(piles: tuple, scores: list) -> tuple:
+    """``(value, ply_index, new_size)`` of the tie-break-optimal ply.
+
+    Among the plies of the best score, the one with the smallest
+    ``(child, ply_index, new_size)``; the value is the best score,
+    negated for the winner.
+    """
+    i, new = min(_best_plies(piles, scores), key=lambda ply: (_child(piles, *ply), ply))
+    best = max(scores)
+    return (best if nim_sum(piles) == 0 else -best), i, new
+
+
 class PyEngine:
     """Memoized exact engine over canonical pile tuples.
 
     ``table`` is a plain dict from each solved loser-to-move position to
-    ``(value, ply_index, new_size)`` of its tie-break-optimal ply.  It
-    raises :class:`MemoBudgetError` instead of growing past ``cap``
-    entries; ``hits`` and ``misses`` count the probes of :meth:`_search`.
-    :meth:`scores` is the one call that scores every candidate ply of a
-    position; :meth:`line` walks :meth:`best_entry` down to the empty game.
+    its value.  It raises :class:`MemoBudgetError` instead of growing
+    past ``cap`` entries; ``hits`` and ``misses`` count the table probes
+    of :meth:`_search`.  :meth:`scores` is the one call that scores every
+    candidate ply of a position; :meth:`best_entry` picks the principal
+    ply from those scores, and :meth:`line` walks it down to the empty
+    game.
     """
 
     name = "python"
@@ -80,42 +100,32 @@ class PyEngine:
         """Exact value of any position (either side to move)."""
         if not piles:
             return 0
-        g = 0
-        for p in piles:
-            g ^= p
+        g = nim_sum(piles)
         if g == 0:
             return self._search(piles)
         return self._n_value(piles, g)
 
     def _search(self, piles: tuple) -> int:
-        # piles is a nonempty P position: loser to move, maximizing.
-        entry = self.table.get(piles)
-        if entry is not None:
+        # piles is a nonempty P position: loser to move, maximizing.  It
+        # has two piles or more, so every child is nonempty, and the
+        # child's nim-sum is p ^ new.
+        v = self.table.get(piles)
+        if v is not None:
             self.hits += 1
-            return entry[0]
+            return v
         self.misses += 1
-        best_v = None
-        best_key = None
-        for i, p in enumerate(piles):
-            for new in range(p):
-                child = _child(piles, i, new)
-                if child:
-                    cg = 0
-                    for q in child:
-                        cg ^= q
-                    v = (p - new) + self._n_value(child, cg)
-                else:
-                    v = p - new
-                if best_v is None or v > best_v or (v == best_v and (child, i, new) < best_key):
-                    best_v = v
-                    best_key = (child, i, new)
+        v = max([
+            p - new + self._n_value(_child(piles, i, new), p ^ new)
+            for i, p in enumerate(piles)
+            for new in range(p)
+        ])
         if len(self.table) >= self.cap:
             raise MemoBudgetError(
                 f"transposition table reached its cap of {self.cap} entries; "
                 "raise memo_cap to solve this position"
             )
-        self.table[piles] = (best_v, best_key[1], best_key[2])
-        return best_v
+        self.table[piles] = v
+        return v
 
     def _n_value(self, piles: tuple, g: int) -> int:
         # Winner to move, minimizing over nim-sum-restoring plies only.
@@ -135,22 +145,7 @@ class PyEngine:
         """``(value, ply_index, new_size)`` of the tie-break-optimal ply."""
         if not piles:
             raise NoMovesError("the empty game has no moves")
-        g = 0
-        for p in piles:
-            g ^= p
-        if g == 0:
-            self._search(piles)
-            return self.table[piles]
-        best = None
-        for i, p in enumerate(piles):
-            target = g ^ p
-            if target < p:
-                child = _child(piles, i, target)
-                v = (self._search(child) if child else 0) - (p - target)
-                cand = (v, child, i, target)
-                if best is None or cand < best:
-                    best = cand
-        return best[0], best[2], best[3]
+        return _best_entry(piles, self.scores(piles))
 
     def scores(self, piles: tuple) -> list:
         """The score of every candidate ply, in :func:`_plies` order.
@@ -162,11 +157,10 @@ class PyEngine:
         """
         g = nim_sum(piles)
         sign = 1 if g == 0 else -1
-        out = []
-        for i, new in _plies(piles, g):
-            child = _child(piles, i, new)
-            out.append(piles[i] - new + sign * (self.solve_value(child) if child else 0))
-        return out
+        return [
+            piles[i] - new + sign * self.solve_value(_child(piles, i, new))
+            for i, new in _plies(piles, g)
+        ]
 
     def line(self, piles: tuple) -> tuple:
         """``(value, plies)`` of the principal line of a nonempty position."""

@@ -2,12 +2,12 @@
 
 The build runs out of tree, in the same shape as ``perfbench/run.py``, so
 the checkout gains no ``build/`` or ``egg-info`` directory.  The kernel it
-makes then runs the solver tests, engine parity included, in a fresh
-interpreter; without a compiler the same build still leaves a working
-pure-Python package.  The source must also compile as strict C11 at
-``-O3``, ``-Wall -Wextra -Wpedantic`` with every warning an error, so a
-warning in new kernel code fails here instead of scrolling past in the
-build log.
+makes then runs the solver tests, engine parity included, and the pinned
+extended ``verify all`` report in a fresh interpreter; without a compiler
+the same build still leaves a working pure-Python package.  The source
+must also compile as strict C11 at ``-O3``, ``-Wall -Wextra -Wpedantic``
+with every warning an error, so a warning in new kernel code fails here
+instead of scrolling past in the build log.
 """
 
 import os
@@ -68,8 +68,11 @@ def test_built_kernel_passes_the_solver_tests(tmp_path):
     available, value, path = probe.stdout.split()
     assert (available, value) == ("True", "28")
     assert Path(path).is_relative_to(lib)
+    # the extended report pin skips where no kernel is importable, so run it
+    # here too, on the kernel just built
     tests = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 "tests/test_solver.py")
+                 "tests/test_solver.py",
+                 "tests/test_harness.py::test_extended_report_bytes_are_pinned")
     summary = tests.stdout.strip().splitlines()[-1]
     assert tests.returncode == 0, tests.stdout + tests.stderr
     assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary
