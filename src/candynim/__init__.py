@@ -10,16 +10,12 @@ claim catalogue reproducibly.
 
 from .core import (
     Game,
-    GFamily,
     OutcomeClass,
     Ply,
     Turn,
-    classify,
     g_family_realize,
-    game_sum,
     loser_moves,
     nim_sum,
-    reduce_duplicates,
     semiratio,
     unique_response,
     winning_moves,
@@ -33,20 +29,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CandyNimError",
     "Game",
-    "GFamily",
     "OutcomeClass",
     "Ply",
     "SolveResult",
     "Solver",
     "Turn",
     "best_plies",
-    "classify",
     "g_family_realize",
-    "game_sum",
     "loser_moves",
     "nim_sum",
     "oracle_solve",
-    "reduce_duplicates",
     "semiratio",
     "solve",
     "unique_response",

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .bounds import five_pile_upper
 from .core import Game, OutcomeClass, Ply, g_family_realize
 from .errors import (
     BudgetError,
@@ -167,8 +168,6 @@ def five_pile_construct(total: int, solver: Optional[Solver] = None) -> Allocati
         ParityError: odd total.
         ConstructionError: no candidate meets the square-root cap.
     """
-    from .bounds import five_pile_upper
-
     _require_even(total)
     if total < 4:
         raise ValueError(f"need total >= 4, got {total}")
@@ -193,27 +192,18 @@ def five_pile_construct(total: int, solver: Optional[Solver] = None) -> Allocati
     candidates.append(("five-pile-repair", Game([total // 2, total // 2])))
 
     cap = five_pile_upper(total)
-    best: Optional[AllocationResult] = None
+    within: list[AllocationResult] = []
     for tag, game in candidates:
         if game.total != total or game.grundy != 0 or len(game) > 5:
             raise InvariantError(f"bad candidate {game} for total {total}")
         result = _verified(game, tag, solver)
-        if result.n_winner > cap:
-            continue
-        if (
-            best is None
-            or result.n_winner < best.n_winner
-            or (
-                result.n_winner == best.n_winner
-                and _rank(result) < _rank(best)
-            )
-        ):
-            best = result
-    if best is None:
+        if result.n_winner <= cap:
+            within.append(result)
+    if not within:
         raise ConstructionError(
             f"no arrangement of {total} met the cap {cap}"
         )
-    return best
+    return min(within, key=lambda r: (r.n_winner, _rank(r)))
 
 
 def _rank(r: AllocationResult) -> tuple:
@@ -252,7 +242,6 @@ def _partitions(total: int, max_piles: int, max_pile: int) -> Iterator[tuple[int
 def exhaustive_min_winner(
     total: int,
     max_piles: int = 6,
-    max_pile: Optional[int] = None,
     solver: Optional[Solver] = None,
 ) -> tuple[AllocationResult, ...]:
     """All minimum-haul P positions of the total, canonically ordered.
@@ -265,12 +254,10 @@ def exhaustive_min_winner(
         BudgetError: the partition space exceeds the search budget.
     """
     _require_even(total)
-    if max_pile is None:
-        max_pile = total
     s = solver or _default_solver()
     best: Optional[int] = None
     keep: list[Game] = []
-    for piles in _partitions(total, max_piles, max_pile):
+    for piles in _partitions(total, max_piles, total):
         game = Game(piles)
         n_winner = s.solve(game).n_winner
         if best is None or n_winner < best:

@@ -50,18 +50,6 @@ def semiratio_bound(a: int) -> int:
     return 2 * a + 1
 
 
-def semiratio_value_cap(s: int, total: int) -> Fraction:
-    """(s-1)/(s+1) of the candy total, as an exact fraction.
-
-    Upper-bounds any strategic value all of whose turns have semiratio at
-    most ``s``: the loser's haul is at most s/(s+1) of the total, the
-    winner's at least 1/(s+1).
-    """
-    if s < 1 or total < 0:
-        raise ValueError(f"need s >= 1 and total >= 0, got s={s}, total={total}")
-    return Fraction(s - 1, s + 1) * total
-
-
 def standard_form_bounds(k: int, m: int, solver: Optional[Solver] = None) -> BoundInterval:
     """Value window for the standard form [2^(k+1)-1, 2^(k+1)m, ...].
 

@@ -40,6 +40,7 @@ from .harness import (
     bound_row,
     bound_rows,
     exit_status,
+    json_line,
     render_trace,
     report_lines,
     run_all,
@@ -222,8 +223,7 @@ def _cmd_solve(args, cfg: CliConfig, out) -> int:
     results = [solver.solve(g) for g in games]
     if cfg.output_format == "json":
         for r in results:
-            out.write(json.dumps(r.to_json_dict(), sort_keys=True,
-                                 separators=(",", ":")) + "\n")
+            out.write(json_line(r.to_json_dict()) + "\n")
     elif cfg.output_format == "csv":
         out.write(_csv_out(
             ["game", "value", "n_loser", "n_winner"],
@@ -243,8 +243,7 @@ def _cmd_classify(args, cfg: CliConfig, out) -> int:
     games, batch = _games_from(args.game)
     if cfg.output_format == "json":
         for g in games:
-            out.write(json.dumps({"game": list(g.piles), "outcome": g.outcome.name},
-                                 sort_keys=True, separators=(",", ":")) + "\n")
+            out.write(json_line({"game": list(g.piles), "outcome": g.outcome.name}) + "\n")
     elif cfg.output_format == "csv":
         out.write(_csv_out(["game", "outcome"],
                            ([str(g), g.outcome.name] for g in games)))
@@ -262,14 +261,13 @@ def _cmd_moves(args, cfg: CliConfig, out) -> int:
         rows.append((g, plies))
     if cfg.output_format == "json":
         for g, plies in rows:
-            out.write(json.dumps(
+            out.write(json_line(
                 {
                     "game": list(g.piles),
                     "outcome": g.outcome.name,
                     "moves": [{"pile": p.pile_index, "from": g[p.pile_index],
                                "to": p.new_size} for p in plies],
-                },
-                sort_keys=True, separators=(",", ":")) + "\n")
+                }) + "\n")
     elif cfg.output_format == "csv":
         out.write(_csv_out(
             ["game", "pile", "from", "to"],
@@ -311,8 +309,7 @@ def _cmd_simulate(args, cfg: CliConfig, out) -> int:
     game = Game.parse(args.game)
     trace = simulate(_STRATEGIES[args.strategy], game, cfg.solver())
     if cfg.output_format == "json":
-        out.write(json.dumps(_trace_json(game, args.strategy, trace),
-                             sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(json_line(_trace_json(game, args.strategy, trace)) + "\n")
     elif cfg.output_format == "csv":
         out.write(_csv_out(
             ["turn", "loser_take", "winner_take"],
@@ -367,7 +364,10 @@ def _parse_point(params: str) -> dict[str, int]:
     for field in params.split(","):
         key, _, val = field.partition("=")
         key = key.strip()
-        if key not in ("k", "m", "a", "x") or not val.strip().isdigit():
+        val = val.strip()
+        # ASCII digits only, as in Game.parse; a repeated key is an error
+        if (key not in ("k", "m", "a", "x") or key in point
+                or not (val.isascii() and val.isdigit())):
             raise ParseError(f"bad bound parameters {params!r}, want e.g. k=1,m=2")
         point[key] = int(val)
     return point
@@ -381,10 +381,9 @@ def _cmd_bounds(args, cfg: CliConfig, out) -> int:
         rows = bound_rows(args.claim, cfg.budget_profile, solver)
     if cfg.output_format == "json":
         for row in rows:
-            out.write(json.dumps(
+            out.write(json_line(
                 {k: _fmt_num(v) if isinstance(v, Fraction) else v
-                 for k, v in row.items()},
-                sort_keys=True, separators=(",", ":")) + "\n")
+                 for k, v in row.items()}) + "\n")
     elif cfg.output_format == "csv":
         out.write(_csv_out(
             ["claim_id", "params", "lower", "exact", "upper", "holds"],
@@ -420,7 +419,7 @@ def _cmd_allocate(args, cfg: CliConfig, out) -> int:
     if cfg.output_format == "json":
         d = solver.solve(result.game).to_json_dict()
         d["construction"] = result.construction
-        out.write(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(json_line(d) + "\n")
     elif cfg.output_format == "csv":
         out.write(_csv_out(
             ["game", "n_winner", "construction"],

@@ -18,7 +18,6 @@ through it.  The value recursion itself lives in :mod:`candynim.solver`.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .errors import (
 PILE_CAP = 2**32 - 1
 
 _GAME_RE = re.compile(r"^\s*(\[\s*(?P<inner>[^\[\]]*)\s*\]|(?P<bare>[^\[\]]*))\s*$")
-_PILE_RE = re.compile(r"\d+")
+_PILE_RE = re.compile(r"[0-9]+")
 
 
 class OutcomeClass(Enum):
@@ -199,11 +198,6 @@ class Ply:
         return f"{game[self.pile_index]}->{self.new_size}"
 
 
-def classify(game: Game) -> OutcomeClass:
-    """P if the player to move is the loser, N if the winner."""
-    return game.outcome
-
-
 def loser_moves(game: Game) -> tuple[Ply, ...]:
     """Every legal ply, one per (pile, target size) pair.
 
@@ -342,30 +336,6 @@ def semiratio(turn: Turn) -> Fraction:
     return Fraction(turn.loser_take, turn.winner_take)
 
 
-def game_sum(g: Game, h: Game) -> Game:
-    """Disjoint union of two games (pile multisets merged)."""
-    return g + h
-
-
-def reduce_duplicates(game: Game) -> tuple[Game, tuple[int, ...]]:
-    """Strip piles that occur an even number of times.
-
-    Returns the reduced game and the removed sizes, one entry per removed
-    pair, descending.  The reduced game has the same grundy value, and the
-    same candy value: a duplicate pair contributes nothing because the
-    winner can mirror the loser inside it.
-    """
-    counts = Counter(game.piles)
-    kept = []
-    removed = []
-    for size in sorted(counts, reverse=True):
-        c = counts[size]
-        if c % 2:
-            kept.append(size)
-        removed.extend([size] * (c // 2))
-    return Game(kept), tuple(sorted(removed, reverse=True))
-
-
 def xor_adjacent(a: int) -> int:
     """``a ^ (a - 1)``: all-ones through a's lowest set bit.
 
@@ -376,40 +346,20 @@ def xor_adjacent(a: int) -> int:
     return a ^ (a - 1)
 
 
-@dataclass(frozen=True)
-class GFamily:
-    """The three-pile family 𝔊(a, m, x) = [a, B·m + x, B·m + (a^x)].
+def g_family_realize(a: int, m: int, x: int = 0) -> Game:
+    """Realize the three-pile family 𝔊(a, m, x) = [a, B·m + x, B·m + (a^x)].
 
     Here B = 2**(k+1) with k = floor(log2 a), and the offset satisfies
     0 <= x < 2**k.  All realizations have zero nim-sum.  The standard
     members (a one less than a power of two, x = 0) are the ones the
-    closed forms and strategies below target.
+    closed forms and strategies target.
     """
-
-    a: int
-    m: int
-    x: int = 0
-
-    def __post_init__(self):
-        if self.a < 1:
-            raise FamilyError(f"need a >= 1, got a={self.a}")
-        if self.m < 0:
-            raise FamilyError(f"need m >= 0, got m={self.m}")
-        k = self.a.bit_length() - 1
-        if not 0 <= self.x < 2**k:
-            raise FamilyError(
-                f"offset x={self.x} out of range [0, {2**k}) for a={self.a}"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.a.bit_length() - 1
-
-    def realize(self) -> Game:
-        block = 2 ** (self.k + 1)
-        return Game((self.a, block * self.m + self.x, block * self.m + (self.a ^ self.x)))
-
-
-def g_family_realize(a: int, m: int, x: int = 0) -> Game:
-    """Realize 𝔊(a, m, x) as a canonical game."""
-    return GFamily(a, m, x).realize()
+    if a < 1:
+        raise FamilyError(f"need a >= 1, got a={a}")
+    if m < 0:
+        raise FamilyError(f"need m >= 0, got m={m}")
+    k = a.bit_length() - 1
+    if not 0 <= x < 2**k:
+        raise FamilyError(f"offset x={x} out of range [0, {2**k}) for a={a}")
+    block = 2 ** (k + 1)
+    return Game((a, block * m + x, block * m + (a ^ x)))

@@ -73,6 +73,14 @@ STATUS_FAIL = "fail"
 STATUS_NOTED = "discrepancy-noted"
 
 
+def json_line(obj) -> str:
+    """``obj`` as one line of compact, key-sorted JSON: the byte-stable encoding.
+
+    Values JSON has no type for (games, plies) are written as their ``str``.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+
+
 @dataclass(frozen=True)
 class ClaimReport:
     """Outcome of one claim sweep.
@@ -125,9 +133,7 @@ class _Tally:
     def check(self, holds: bool, **failure) -> None:
         self.instances += 1
         if not holds:
-            self.failures.append(
-                json.dumps(failure, sort_keys=True, separators=(",", ":"), default=str)
-            )
+            self.failures.append(json_line(failure))
 
     def outcome(self, params: str, notes: str = "") -> _Tally:
         self.params = params
@@ -867,10 +873,7 @@ def exit_status(reports) -> int:
 
 def report_lines(reports) -> str:
     """One ClaimReport per line as compact JSON, byte-stable across runs."""
-    return "\n".join(
-        json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        for r in reports
-    ) + "\n"
+    return "\n".join(json_line(r.to_json_dict()) for r in reports) + "\n"
 
 
 def summary_table(reports) -> str:

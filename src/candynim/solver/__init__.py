@@ -234,19 +234,19 @@ class Solver:
         scores = self._run("scores", game)
         return tuple([Ply(i, new) for i, new in _best_plies(game.piles, scores)])
 
-    def oracle_solve(self, game: Game, max_total: int = DEFAULT_ORACLE_CAP) -> SolveResult:
+    def oracle_solve(self, game: Game) -> SolveResult:
         """Solve by memoless reference recursion (cross-check path).
 
-        Exponential in the candy total, hence the ``max_total`` fence.
+        Exponential in the candy total, hence the ``DEFAULT_ORACLE_CAP`` fence.
         The oracle is plain Python whatever the solver's engine, so it
         stays independent of the engines it checks; it shares their
         tie-break, so the result equals :meth:`solve` whenever both are
         in budget.
         """
         self._check_caps(game)
-        if game.total > max_total:
+        if game.total > DEFAULT_ORACLE_CAP:
             raise BudgetError(
-                f"oracle budget is {max_total} total candies, got {game.total}"
+                f"oracle budget is {DEFAULT_ORACLE_CAP} total candies, got {game.total}"
             )
         if not game:
             return SolveResult(game, 0, 0, 0, ())
@@ -323,5 +323,5 @@ def best_plies(game: Game, **kwargs) -> tuple[Ply, ...]:
     return _resolve(kwargs).best_plies(game)
 
 
-def oracle_solve(game: Game, max_total: int = DEFAULT_ORACLE_CAP, **kwargs) -> SolveResult:
-    return _resolve(kwargs).oracle_solve(game, max_total=max_total)
+def oracle_solve(game: Game, **kwargs) -> SolveResult:
+    return _resolve(kwargs).oracle_solve(game)

@@ -22,10 +22,6 @@ ContractiveFn = Callable[[int], int]
 # exponent maps: feed j (for smallest pile 2^j - 1), get back 1..j
 
 
-def identity(a: int) -> int:
-    return a
-
-
 def half(a: int) -> int:
     """Halve an exponent, never below 1."""
     return a // 2 if a >= 2 else 1

@@ -1,7 +1,6 @@
 """Value windows: interval arithmetic against solved anchors."""
 
 import pytest
-from fractions import Fraction
 
 from candynim.bounds import (
     BoundInterval,
@@ -11,7 +10,6 @@ from candynim.bounds import (
     general_bounds,
     log_lower_bound,
     semiratio_bound,
-    semiratio_value_cap,
     standard_form_bounds,
 )
 from candynim.core import Game, g_family_realize
@@ -29,11 +27,6 @@ def test_interval_validation_and_contains():
 def test_semiratio_bound():
     assert semiratio_bound(1) == 3
     assert semiratio_bound(7) == 15
-
-
-def test_semiratio_value_cap_is_exact_fraction():
-    cap = semiratio_value_cap(Fraction(3), 30)
-    assert cap == Fraction(2, 4) * 30 == 15
 
 
 def test_standard_form_windows_frozen():

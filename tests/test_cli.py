@@ -153,6 +153,9 @@ def test_bounds_bad_params():
     ("standard-form-interval", "k=1,m=2,x=1"),  # x not taken
     ("family-offset-lower", "k=1,m=2"),  # missing a
     ("neighbor-transfer-interval", "k=1"),  # missing m
+    ("family-offset-lower", "a=\u0663,m=1,x=0"),  # non-ASCII digit
+    ("family-offset-lower", "a=\u00b2,m=1,x=0"),  # isdigit() but not int()
+    ("family-offset-lower", "a=3,a=1,m=1"),  # repeated key
 ])
 def test_bounds_point_with_wrong_keys_is_usage_error(claim, params):
     assert run(["bounds", claim, params]) == (2, "")

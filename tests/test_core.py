@@ -3,19 +3,16 @@
 import pytest
 from fractions import Fraction
 
+import candynim
 from candynim.core import (
     Game,
-    GFamily,
     OutcomeClass,
     Ply,
     Turn,
     _pile_change,
-    classify,
     g_family_realize,
-    game_sum,
     loser_moves,
     nim_sum,
-    reduce_duplicates,
     semiratio,
     unique_response,
     winning_moves,
@@ -49,7 +46,9 @@ def test_parse_accepts_both_notations():
 
 
 @pytest.mark.parametrize(
-    "bad", ["[1,2", "1,2]", "[a,b]", "[1,,2]", "[-1]", "1 2", "+3", "3.0", "1_000", "0x1"]
+    "bad",
+    ["[1,2", "1,2]", "[a,b]", "[1,,2]", "[-1]", "1 2", "+3", "3.0", "1_000", "0x1",
+     "[\u0663,\u0663]", "\uff11\uff12"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
@@ -68,7 +67,7 @@ def test_grundy_and_outcome():
     assert Game([5, 3]).grundy == 6
     assert Game([5, 3]).outcome is OutcomeClass.N
     assert Game([]).outcome is OutcomeClass.P
-    assert classify(Game([4, 4])) is OutcomeClass.P
+    assert Game([4, 4]).outcome is OutcomeClass.P
 
 
 def test_nim_sum():
@@ -156,19 +155,12 @@ def test_semiratio_is_loser_over_winner():
     assert semiratio(Turn(g, after_l, after_w)) == Fraction(3, 1)
 
 
-def test_game_sum_and_add():
-    assert game_sum(Game([1, 2]), Game([2, 3])) == Game([3, 2, 2, 1])
+def test_add_merges_piles():
+    assert Game([1, 2]) + Game([2, 3]) == Game([3, 2, 2, 1])
     assert Game([1]) + Game([1]) == Game([1, 1])
     g, h = Game([5, 4]), Game([3, 3])
-    assert game_sum(g, h).grundy == g.grundy ^ h.grundy
-    assert game_sum(g, h).total == g.total + h.total
-
-
-def test_reduce_duplicates():
-    assert reduce_duplicates(Game([3, 3, 5, 4, 4])) == (Game([5]), (4, 3))
-    assert reduce_duplicates(Game([2, 2])) == (Game([]), (2,))
-    assert reduce_duplicates(Game([1, 2, 3])) == (Game([1, 2, 3]), ())
-    assert reduce_duplicates(Game([7, 7, 7])) == (Game([7]), (7,))
+    assert (g + h).grundy == g.grundy ^ h.grundy
+    assert (g + h).total == g.total + h.total
 
 
 def test_xor_adjacent_frozen():
@@ -202,12 +194,18 @@ def test_family_realize_is_zero_nim_sum():
 
 def test_family_rejects_bad_offset():
     with pytest.raises(FamilyError):
-        GFamily(6, 1, 4)  # x not below the top bit of a
+        g_family_realize(6, 1, 4)  # x not below the top bit of a
     with pytest.raises(FamilyError):
-        GFamily(0, 1, 0)
+        g_family_realize(0, 1, 0)
     with pytest.raises(FamilyError):
-        GFamily(3, -1, 0)
+        g_family_realize(3, -1, 0)
 
 
 def test_ply_describe():
     assert Ply(1, 2).describe(Game([7, 5])) == "5->2"
+
+
+def test_public_names_resolve():
+    assert len(set(candynim.__all__)) == len(candynim.__all__)
+    for name in candynim.__all__:
+        assert hasattr(candynim, name), name

@@ -10,7 +10,6 @@ from candynim.strategies import (
     fractal_closed_form,
     fractal_policy,
     half,
-    identity,
     largest_pile_policy,
     simulate,
 )
@@ -22,7 +21,6 @@ def _fractal(g):
 
 
 def test_exponent_maps():
-    assert identity(5) == 5
     assert half(1) == 1
     assert half(5) == 2
     assert half(2) == 1
@@ -52,7 +50,7 @@ def test_fractal_ply_shapes():
     assert _fractal(Game([7, 8, 15])) == Ply(0, 1)
     assert _fractal(Game([31, 32, 63])) == Ply(0, 3)
     # f(j) = j collapses back to flip-flop
-    assert fractal_policy(identity, Game([7, 8, 15])) == Ply(0, 0)
+    assert fractal_policy(lambda j: j, Game([7, 8, 15])) == Ply(0, 0)
 
 
 def test_fractal_rejects_bad_map():
