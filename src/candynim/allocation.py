@@ -22,7 +22,7 @@ from .errors import (
     InvariantError,
     ParityError,
 )
-from .solver import Solver, _default_solver
+from .solver import Solver, _default_solver, _n_winner
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,16 @@ def _require_even(total: int) -> None:
         )
 
 
+def _chain(n: int, gap: int = 0) -> list[int]:
+    """The power chain [1, 2, ..., 2^(n-2), 2^(n-1)-1], with an optional gap.
+
+    A ``gap`` k >= 1 drops the pile 2^(k-1) and shrinks the last pile by
+    as much, to 2^(n-1) - 1 - 2^(k-1), so the total falls by 2^k.
+    """
+    drop = 2 ** (gap - 1) if gap else 0
+    return [2**i for i in range(n - 1) if 2**i != drop] + [2 ** (n - 1) - 1 - drop]
+
+
 def _equality_games(total: int) -> list[tuple[str, Game]]:
     """All closed-form arrangements hitting the log2 floor, case-tagged.
 
@@ -63,12 +73,10 @@ def _equality_games(total: int) -> list[tuple[str, Game]]:
     out = []
     n = total.bit_length() - 1
     if total == 2**n and n >= 2:
-        piles = [1, 1, 1] + [2**i for i in range(1, n - 1)] + [2 ** (n - 1) - 1]
-        out.append(("equality-case1", Game(piles)))
+        out.append(("equality-case1", Game(_chain(n) + [1, 1])))
     n = (total + 2).bit_length() - 1
     if total == 2**n - 2 and n >= 2:
-        piles = [2**i for i in range(n - 1)] + [2 ** (n - 1) - 1]
-        out.append(("equality-case2", Game(piles)))
+        out.append(("equality-case2", Game(_chain(n))))
     # total = 2^n - 2^k - 2 has at most one such (n, k): the binary form
     # 111..1000 of total + 2 pins both exponents
     shifted = total + 2
@@ -76,39 +84,22 @@ def _equality_games(total: int) -> list[tuple[str, Game]]:
     k = low.bit_length() - 1
     n = shifted.bit_length()
     if k >= 1 and n > k + 1 and shifted + low == 2**n:
-        piles = (
-            [2**i for i in range(k - 1)]
-            + [2**i for i in range(k, n - 1)]
-            + [2 ** (n - 1) - 1 - 2 ** (k - 1)]
-        )
-        out.append(("equality-case3", Game(piles)))
+        out.append(("equality-case3", Game(_chain(n, k))))
     return out
-
-
-def equality_family(
-    total: int, solver: Optional[Solver] = None
-) -> Optional[AllocationResult]:
-    """The closed-form arrangement whose winner haul meets the log2 floor.
-
-    Covers totals of the shapes 2^n, 2^n - 2, and 2^n - 2^k - 2 (with
-    n > k + 1 >= 2); returns None for any other total.  Total 4 fits two
-    shapes and the 2^n arrangement wins the tie.
-
-    Raises:
-        ParityError: odd totals admit no zero-nim-sum arrangement at all.
-    """
-    _require_even(total)
-    games = _equality_games(total)
-    if not games:
-        return None
-    tag, game = games[0]
-    return _verified(game, tag, solver)
 
 
 def equality_arrangements(
     total: int, solver: Optional[Solver] = None
 ) -> tuple[AllocationResult, ...]:
-    """Every closed-form floor-hitting arrangement for the total."""
+    """Every closed-form arrangement whose winner haul meets the log2 floor.
+
+    Covers totals of the shapes 2^n, 2^n - 2, and 2^n - 2^k - 2 (with
+    n > k + 1 >= 2); empty for any other total.  Total 4 fits two shapes,
+    and the 2^n arrangement comes first.
+
+    Raises:
+        ParityError: odd totals admit no zero-nim-sum arrangement at all.
+    """
     _require_even(total)
     return tuple(_verified(g, tag, solver) for tag, g in _equality_games(total))
 
@@ -121,8 +112,7 @@ def best_power_arrangement(n: int, solver: Optional[Solver] = None) -> Allocatio
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    piles = [2**i for i in range(n - 1)] + [2 ** (n - 1) - 1]
-    return _verified(Game(piles), "power-chain", solver)
+    return _verified(Game(_chain(n)), "power-chain", solver)
 
 
 def lemma_optimal_ply(g: Game) -> Ply:
@@ -151,7 +141,7 @@ def lemma_optimal_ply(g: Game) -> Ply:
     if len(missing) != 1:
         raise FamilyError(f"{g} is not a power chain with one gap")
     k = missing[0] + 1
-    if k > n - 2 or last != 2 ** (n - 1) - 1 - 2 ** (k - 1):
+    if k > n - 2 or last != _chain(n, k)[-1]:
         raise FamilyError(f"{g} tail pile does not match its gap")
     return Ply(last_idx, 2 ** (k - 1))
 
@@ -172,24 +162,24 @@ def five_pile_construct(total: int, solver: Optional[Solver] = None) -> Allocati
     if total < 4:
         raise ValueError(f"need total >= 4, got {total}")
     candidates: list[tuple[str, Game]] = []
+
+    def pad(tag: str, family: Game) -> None:
+        # the rest of the total goes to a duplicate pair; Game drops [0, 0]
+        d = (total - family.total) // 2
+        candidates.append((tag, Game(family.piles + (d, d))))
+
     if total >= 16:
         split = (total.bit_length() - 1) // 2
         high = total & ~((1 << split) - 1)
         m = high // 2**split - 1
-        family = g_family_realize(2 ** (split - 1) - 1, m, 0)
-        d = (total - family.total) // 2
-        piles = family.piles + ((d, d) if d else ())
-        candidates.append(("five-pile-template", Game(piles)))
+        pad("five-pile-template", g_family_realize(2 ** (split - 1) - 1, m, 0))
     for j in range(1, total.bit_length()):
         a = 2**j - 1
         m = 1
         while 2 ** (j + 1) * (m + 1) - 2 <= total:
-            family = g_family_realize(a, m, 0)
-            d = (total - family.total) // 2
-            piles = family.piles + ((d, d) if d else ())
-            candidates.append(("five-pile-repair", Game(piles)))
+            pad("five-pile-repair", g_family_realize(a, m, 0))
             m += 1
-    candidates.append(("five-pile-repair", Game([total // 2, total // 2])))
+    pad("five-pile-repair", Game())
 
     cap = five_pile_upper(total)
     within: list[AllocationResult] = []
@@ -259,7 +249,7 @@ def exhaustive_min_winner(
     keep: list[Game] = []
     for piles in _partitions(total, max_piles, total):
         game = Game(piles)
-        n_winner = s.solve(game).n_winner
+        n_winner = _n_winner(s, game)
         if best is None or n_winner < best:
             best = n_winner
             keep = [game]

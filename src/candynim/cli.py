@@ -29,11 +29,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .allocation import (
-    equality_family,
+    equality_arrangements,
     exhaustive_min_winner,
     five_pile_construct,
 )
-from .core import Game, Turn, loser_moves, winning_moves
+from .core import _SPACE, Game, Turn, loser_moves, winning_moves
 from .errors import BudgetError, CandyNimError, ConstructionError, ParseError
 from .harness import (
     PROFILES,
@@ -47,7 +47,7 @@ from .harness import (
     summary_table,
     verify_claim,
 )
-from .solver import DEFAULT_MEMO_CAP, DEFAULT_PILE_CAP, Solver
+from .solver import DEFAULT_MEMO_CAP, DEFAULT_PILE_CAP, ENGINES, Solver
 from .strategies import (
     StrategyTrace,
     flip_flop_policy,
@@ -59,7 +59,6 @@ from .strategies import (
 
 ENV_PREFIX = "CANDYNIM_"
 FORMATS = ("text", "json", "csv")
-ENGINES = ("auto", "native", "python")
 
 _STRATEGIES = {
     "flip-flop": flip_flop_policy,
@@ -211,7 +210,7 @@ def _games_from(arg: str) -> tuple[list[Game], bool]:
         return [Game.parse(arg)], False
     games = []
     for line in sys.stdin:
-        line = line.strip()
+        line = line.strip(_SPACE)
         if line:
             games.append(Game.parse(line))
     return games, True
@@ -347,12 +346,7 @@ def _cmd_render(args, cfg: CliConfig, out) -> int:
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ParseError(f"not a trace file: {exc}") from exc
-    lt = sum(t.loser_take for t in turns)
-    wt = sum(t.winner_take for t in turns)
-    trace = StrategyTrace(
-        turns=turns, strategic_value=lt - wt, loser_total=lt, winner_total=wt
-    )
-    out.write(render_trace(trace))
+    out.write(render_trace(StrategyTrace(turns)))
     return 0
 
 
@@ -363,9 +357,9 @@ def _parse_point(params: str) -> dict[str, int]:
     point = {}
     for field in params.split(","):
         key, _, val = field.partition("=")
-        key = key.strip()
-        val = val.strip()
-        # ASCII digits only, as in Game.parse; a repeated key is an error
+        key = key.strip(_SPACE)
+        val = val.strip(_SPACE)
+        # ASCII only, as in Game.parse; a repeated key is an error
         if (key not in ("k", "m", "a", "x") or key in point
                 or not (val.isascii() and val.isdigit())):
             raise ParseError(f"bad bound parameters {params!r}, want e.g. k=1,m=2")
@@ -375,7 +369,7 @@ def _parse_point(params: str) -> dict[str, int]:
 
 def _cmd_bounds(args, cfg: CliConfig, out) -> int:
     solver = cfg.solver()
-    if args.params:
+    if args.params is not None:
         rows = [bound_row(args.claim, _parse_point(args.params), solver)]
     else:
         rows = bound_rows(args.claim, cfg.budget_profile, solver)
@@ -405,17 +399,19 @@ def _cmd_bounds(args, cfg: CliConfig, out) -> int:
 def _cmd_allocate(args, cfg: CliConfig, out) -> int:
     solver = cfg.solver()
     total = args.total
-    if args.method == "equality":
-        result = equality_family(total, solver)
-        if result is None:
-            print(f"no closed-form arrangement for total {total}", file=sys.stderr)
-            return 1
-    elif args.method == "five-pile":
+    if args.method == "five-pile":
         result = five_pile_construct(total, solver)
     elif args.method == "exhaustive":
         result = exhaustive_min_winner(total, solver=solver)[0]
     else:
-        result = equality_family(total, solver) or five_pile_construct(total, solver)
+        closed = equality_arrangements(total, solver)
+        if closed:
+            result = closed[0]
+        elif args.method == "equality":
+            print(f"no closed-form arrangement for total {total}", file=sys.stderr)
+            return 1
+        else:
+            result = five_pile_construct(total, solver)
     if cfg.output_format == "json":
         d = solver.solve(result.game).to_json_dict()
         d["construction"] = result.construction

@@ -36,7 +36,12 @@ from .errors import (
 # applies a much smaller default cap on top of this.
 PILE_CAP = 2**32 - 1
 
-_GAME_RE = re.compile(r"^\s*(\[\s*(?P<inner>[^\[\]]*)\s*\]|(?P<bare>[^\[\]]*))\s*$")
+# ASCII whitespace, the only whitespace any notation accepts; it is what
+# \s matches under re.ASCII
+_SPACE = " \t\n\r\f\v"
+_GAME_RE = re.compile(
+    r"^\s*(\[\s*(?P<inner>[^\[\]]*)\s*\]|(?P<bare>[^\[\]]*))\s*$", re.ASCII
+)
 _PILE_RE = re.compile(r"[0-9]+")
 
 
@@ -98,19 +103,19 @@ class Game:
 
     @classmethod
     def parse(cls, text: str) -> "Game":
-        """Parse ``"[1,2,3]"`` or ``"1,2,3"`` (whitespace ignored)."""
+        """Parse ``"[1,2,3]"`` or ``"1,2,3"`` (ASCII whitespace ignored)."""
         m = _GAME_RE.match(text)
         if m is None:
             raise ParseError(f"unbalanced brackets in game notation: {text!r}")
         inner = m.group("inner")
         if inner is None:
             inner = m.group("bare") or ""
-        inner = inner.strip()
+        inner = inner.strip(_SPACE)
         if not inner:
             return cls(())
         piles = []
         for field in inner.split(","):
-            field = field.strip()
+            field = field.strip(_SPACE)
             if not _PILE_RE.fullmatch(field):
                 raise ParseError(f"bad pile size {field!r} in game notation {text!r}")
             piles.append(int(field))

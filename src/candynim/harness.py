@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterator, Optional
 
 from .allocation import (
+    _chain,
     _partitions,
     best_power_arrangement,
     equality_arrangements,
@@ -105,16 +106,6 @@ class ClaimReport:
                 f"{self.claim_id}: status {self.status} with "
                 f"{len(self.failures)} failures"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "params": self.params,
-            "instances": self.instances,
-            "failures": list(self.failures),
-            "status": self.status,
-            "notes": self.notes,
-        }
 
 
 class _Tally:
@@ -564,8 +555,7 @@ def _c_power_chain(profile: str, solver: Solver, t: _Tally) -> _Tally:
 
 
 def _gapped_chain(n: int, k: int) -> Optional[Game]:
-    piles = [2**i for i in range(n - 1) if i != k - 1]
-    piles.append(2 ** (n - 1) - 1 - 2 ** (k - 1))
+    piles = _chain(n, k)
     if len(set(piles)) != len(piles) or piles[-1] & (piles[-1] - 1) == 0:
         return None
     return Game(piles)
@@ -873,7 +863,7 @@ def exit_status(reports) -> int:
 
 def report_lines(reports) -> str:
     """One ClaimReport per line as compact JSON, byte-stable across runs."""
-    return "\n".join(json_line(r.to_json_dict()) for r in reports) + "\n"
+    return "\n".join(json_line(asdict(r)) for r in reports) + "\n"
 
 
 def summary_table(reports) -> str:

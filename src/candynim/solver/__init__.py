@@ -49,6 +49,7 @@ try:
 except ImportError:  # pure-Python install
     _kernel = None
 
+ENGINES = ("auto", "native", "python")
 DEFAULT_PILE_CAP = 2**16
 DEFAULT_MEMO_CAP = 10_000_000
 DEFAULT_ORACLE_CAP = 16
@@ -104,7 +105,7 @@ class SolveResult:
 
 
 def _solved(game: Game, line) -> SolveResult:
-    """Result for a nonempty game from its ``(value, plies)`` line."""
+    """Result for a game from its ``(value, plies)`` line."""
     value, plies = line
     n_loser, n_winner = _split(game.total, value)
     return SolveResult(game, value, n_loser, n_winner, tuple([Ply(i, new) for i, new in plies]))
@@ -165,7 +166,7 @@ class Solver:
         pile_cap: int = DEFAULT_PILE_CAP,
         memo_cap: int = DEFAULT_MEMO_CAP,
     ):
-        if engine not in ("auto", "native", "python"):
+        if engine not in ENGINES:
             raise EngineError(f"unknown engine {engine!r}")
         if engine == "native" and _kernel is None:
             raise EngineError("the native kernel is not built in this install")
@@ -202,8 +203,6 @@ class Solver:
     def value(self, game: Game) -> int:
         """Optimal loser-minus-winner candy difference."""
         self._check_caps(game)
-        if not game:
-            return 0
         return self._run("solve_value", game)
 
     def solve(self, game: Game, workers: int = 1) -> SolveResult:
@@ -214,9 +213,7 @@ class Solver:
         identical to ``workers=1``.
         """
         self._check_caps(game)
-        if not game:
-            return SolveResult(game, 0, 0, 0, ())
-        if workers > 1:
+        if workers > 1 and game:
             return self._solve_parallel(game, workers)
         return _solved(game, self._run("line", game))
 
@@ -248,8 +245,6 @@ class Solver:
             raise BudgetError(
                 f"oracle budget is {DEFAULT_ORACLE_CAP} total candies, got {game.total}"
             )
-        if not game:
-            return SolveResult(game, 0, 0, 0, ())
         return _solved(game, _walk(oracle_entry, game.piles))
 
     def stats(self) -> list[dict]:
@@ -306,22 +301,19 @@ def _default_solver() -> Solver:
     return Solver()
 
 
-def _resolve(kwargs: dict) -> Solver:
-    return Solver(**kwargs) if kwargs else _default_solver()
+def solve(game: Game, workers: int = 1) -> SolveResult:
+    """Solve with the module default solver."""
+    return _default_solver().solve(game, workers=workers)
 
 
-def solve(game: Game, workers: int = 1, **kwargs) -> SolveResult:
-    """Solve with the module default solver (or a custom one via kwargs)."""
-    return _resolve(kwargs).solve(game, workers=workers)
+def value(game: Game) -> int:
+    return _default_solver().value(game)
 
 
-def value(game: Game, **kwargs) -> int:
-    return _resolve(kwargs).value(game)
-
-
-def best_plies(game: Game, **kwargs) -> tuple[Ply, ...]:
-    return _resolve(kwargs).best_plies(game)
+def best_plies(game: Game) -> tuple[Ply, ...]:
+    return _default_solver().best_plies(game)
 
 
 def oracle_solve(game: Game, **kwargs) -> SolveResult:
-    return _resolve(kwargs).oracle_solve(game)
+    """Oracle-solve on the default solver, or on ``Solver(**kwargs)``."""
+    return (Solver(**kwargs) if kwargs else _default_solver()).oracle_solve(game)

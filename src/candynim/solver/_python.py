@@ -81,8 +81,8 @@ class PyEngine:
     its value.  It raises :class:`MemoBudgetError` instead of growing
     past ``cap`` entries; ``hits`` and ``misses`` count the table probes
     of :meth:`_search`.  :meth:`scores` is the one call that scores every
-    candidate ply of a position; :meth:`best_entry` picks the principal
-    ply from those scores, and :meth:`line` walks it down to the empty
+    candidate ply of a position, and :meth:`line` walks the principal ply
+    that :func:`_best_entry` picks from those scores down to the empty
     game.
     """
 
@@ -141,12 +141,6 @@ class PyEngine:
             raise InvariantError(f"no winning ply in N position {piles}")
         return best
 
-    def best_entry(self, piles: tuple) -> tuple:
-        """``(value, ply_index, new_size)`` of the tie-break-optimal ply."""
-        if not piles:
-            raise NoMovesError("the empty game has no moves")
-        return _best_entry(piles, self.scores(piles))
-
     def scores(self, piles: tuple) -> list:
         """The score of every candidate ply, in :func:`_plies` order.
 
@@ -163,8 +157,8 @@ class PyEngine:
         ]
 
     def line(self, piles: tuple) -> tuple:
-        """``(value, plies)`` of the principal line of a nonempty position."""
-        return _walk(self.best_entry, piles)
+        """``(value, plies)`` of the principal line; ``(0, [])`` for ``()``."""
+        return _walk(lambda p: _best_entry(p, self.scores(p)), piles)
 
     def stats(self) -> dict:
         return {
@@ -196,7 +190,7 @@ def oracle_value(piles: tuple) -> int:
 
 
 def oracle_entry(piles: tuple) -> tuple:
-    """Oracle twin of :meth:`PyEngine.best_entry`, same tie-break.
+    """Oracle twin of :func:`_best_entry` on engine scores, same tie-break.
 
     Each ply scores the candies it takes, plus the child's value when the
     loser moves or minus it when the winner moves, so both sides maximize

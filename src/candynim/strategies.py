@@ -99,14 +99,11 @@ def fractal_policy(f: ContractiveFn, g: Game) -> Ply:
 class StrategyTrace:
     """A full play-through: turns from the root down to the empty game.
 
-    ``strategic_value`` is what the loser policy actually nets, always at
-    most the exact game value.
+    The totals are read off the turns.  ``strategic_value`` is what the
+    loser policy actually nets, always at most the exact game value.
     """
 
     turns: tuple[Turn, ...]
-    strategic_value: int
-    loser_total: int
-    winner_total: int
 
     def __post_init__(self):
         pos = self.root
@@ -116,16 +113,22 @@ class StrategyTrace:
             pos = t.after_winner
         if pos:
             raise ValueError(f"trace stops early at {pos}")
-        lt = sum(t.loser_take for t in self.turns)
-        wt = sum(t.winner_take for t in self.turns)
-        if (lt, wt) != (self.loser_total, self.winner_total):
-            raise ValueError("totals do not match the turns")
-        if self.strategic_value != lt - wt:
-            raise ValueError("strategic_value is not loser_total - winner_total")
 
     @property
     def root(self) -> Game:
         return self.turns[0].before if self.turns else Game([])
+
+    @property
+    def loser_total(self) -> int:
+        return sum(t.loser_take for t in self.turns)
+
+    @property
+    def winner_total(self) -> int:
+        return sum(t.winner_take for t in self.turns)
+
+    @property
+    def strategic_value(self) -> int:
+        return self.loser_total - self.winner_total
 
 
 def simulate(
@@ -169,11 +172,7 @@ def simulate(
             raise IllegalMoveError(f"turn {len(turns)}: {exc}") from None
         turns.append(Turn(pos, after_loser, after_winner))
         pos = after_winner
-    loser_total = sum(t.loser_take for t in turns)
-    winner_total = sum(t.winner_take for t in turns)
-    return StrategyTrace(
-        tuple(turns), loser_total - winner_total, loser_total, winner_total
-    )
+    return StrategyTrace(tuple(turns))
 
 
 def fractal_closed_form(k: int, m: int) -> int:

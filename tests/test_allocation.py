@@ -6,10 +6,10 @@ from candynim.allocation import (
     AllocationResult,
     best_power_arrangement,
     equality_arrangements,
-    equality_family,
     exhaustive_min_winner,
     five_pile_construct,
     lemma_optimal_ply,
+    _chain,
     _partitions,
 )
 from candynim.bounds import five_pile_upper, log_lower_bound
@@ -20,6 +20,7 @@ from candynim.errors import (
     InvariantError,
     ParityError,
 )
+from candynim.harness import _gapped_chain
 from candynim.solver import Solver, solve
 
 # every closed-form floor-hitting arrangement by total, up to 32
@@ -57,13 +58,29 @@ def test_equality_arrangements_hit_the_floor(total):
         assert r.n_winner == log_lower_bound(total)
 
 
-def test_equality_family_priority():
-    # total 4 matches two cases; the all-ones shape is preferred
-    r = equality_family(4)
+def test_equality_arrangements_order():
+    # total 4 matches two cases; the all-ones shape comes first
+    r = equality_arrangements(4)[0]
     assert r.game == Game([1, 1, 1, 1])
     assert r.construction == "equality-case1"
-    assert equality_family(18) is None
-    assert equality_family(12).construction == "equality-case3"
+    assert equality_arrangements(18) == ()
+    assert [r.construction for r in equality_arrangements(12)] == ["equality-case3"]
+
+
+def test_chain_builds_every_power_chain():
+    assert _chain(2) == [1, 1]
+    assert _chain(4) == [1, 2, 4, 7]
+    assert _chain(5, 1) == [2, 4, 8, 14]
+    assert _chain(5, 3) == [1, 2, 8, 11]
+    # the three equality cases: totals 2^n, 2^n - 2 and 2^n - 2^k - 2
+    assert [r.game for r in equality_arrangements(16)] == [Game(_chain(4) + [1, 1])]
+    assert [r.game for r in equality_arrangements(14)] == [Game(_chain(4))]
+    assert [r.game for r in equality_arrangements(26)] == [Game(_chain(5, 2))]
+    assert [r.game for r in equality_arrangements(12)] == [Game(_chain(4, 1))]
+    # the gapped chains the skip-chain claim checks
+    assert _gapped_chain(5, 2) == Game([1, 4, 8, 13])
+    assert _gapped_chain(4, 1) == Game([2, 4, 6])
+    assert _gapped_chain(3, 1) is None  # [2, 2] repeats a pile
 
 
 def test_equality_rejects_bad_totals():
@@ -174,5 +191,5 @@ def test_allocation_result_validation():
 
 def test_verified_n_winner_matches_solver():
     for total in (6, 10, 12):
-        r = equality_family(total)
+        r = equality_arrangements(total)[0]
         assert r.n_winner == solve(r.game).n_winner

@@ -52,6 +52,10 @@ def test_solve_stdin_batch(monkeypatch):
     assert text == "[3,2,1] value 2\n[7,4,3] value 6\n"
 
 
+def test_stdin_batch_rejects_non_ascii_whitespace(monkeypatch):
+    assert run(["solve", "-"], stdin="[1,2,3]\n\u3000[1,2]\n", monkeypatch=monkeypatch) == (2, "")
+
+
 def test_classify_and_moves():
     assert run(["classify", "[1,2,3]"]) == (0, "P\n")
     assert run(["classify", "[5,3]"]) == (0, "N\n")
@@ -156,6 +160,8 @@ def test_bounds_bad_params():
     ("family-offset-lower", "a=\u0663,m=1,x=0"),  # non-ASCII digit
     ("family-offset-lower", "a=\u00b2,m=1,x=0"),  # isdigit() but not int()
     ("family-offset-lower", "a=3,a=1,m=1"),  # repeated key
+    ("standard-form-interval", "k=1,\u3000m=2"),  # non-ASCII whitespace
+    ("standard-form-interval", ""),  # an empty point is not the whole sweep
 ])
 def test_bounds_point_with_wrong_keys_is_usage_error(claim, params):
     assert run(["bounds", claim, params]) == (2, "")

@@ -48,7 +48,7 @@ def test_parse_accepts_both_notations():
 @pytest.mark.parametrize(
     "bad",
     ["[1,2", "1,2]", "[a,b]", "[1,,2]", "[-1]", "1 2", "+3", "3.0", "1_000", "0x1",
-     "[\u0663,\u0663]", "\uff11\uff12"],
+     "[\u0663,\u0663]", "\uff11\uff12", "\u3000[1,2] ", "[1,\u20022]", "\xa01,2"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):

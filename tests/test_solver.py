@@ -20,7 +20,7 @@ from candynim.solver import (
     solve,
 )
 import candynim.solver as solver_mod
-from candynim.solver._python import PyEngine
+from candynim.solver._python import PyEngine, _best_entry
 from candynim.allocation import _partitions
 
 # values pinned by hand-checked play-throughs and small-case enumeration
@@ -305,7 +305,7 @@ def test_oracle_never_touches_the_kernel(monkeypatch):
 
 
 def test_module_paths_share_one_default_solver(monkeypatch):
-    from candynim.allocation import equality_family
+    from candynim.allocation import equality_arrangements
     from candynim.bounds import standard_form_bounds
     from candynim.harness import verify_claim
 
@@ -328,7 +328,7 @@ def test_module_paths_share_one_default_solver(monkeypatch):
     monkeypatch.setattr(Solver, "__init__", spy_init)
     monkeypatch.setattr(Solver, "solve", spy_solve)
     monkeypatch.setattr(Solver, "value", spy_value)
-    equality_family(12)
+    equality_arrangements(12)
     standard_form_bounds(2, 1)
     verify_claim("small-family-value", "smoke")
     solve(Game([1, 2, 3]))
@@ -380,8 +380,8 @@ def test_python_engine_table_counts_search_probes_only():
     first = eng.stats()
     assert first["entries"] == first["misses"] > 0
     assert all(type(value) is int for value in eng.table.values())
-    # best_entry rescores the root's plies: every probe is a hit
-    assert eng.table[root] == v == eng.best_entry(root)[0]
+    # the principal ply rescores the root's plies: every probe is a hit
+    assert eng.table[root] == v == _best_entry(root, eng.scores(root))[0]
     after = eng.stats()
     assert (after["entries"], after["misses"]) == (first["entries"], first["misses"])
 

@@ -131,12 +131,9 @@ def test_closed_form_diverges_from_sim():
 def test_trace_validation_rejects_broken_chain():
     t1 = simulate(largest_pile_policy, Game([1, 2, 3]))
     with pytest.raises(ValueError):
-        StrategyTrace(
-            turns=t1.turns,
-            strategic_value=t1.strategic_value + 1,
-            loser_total=t1.loser_total + 1,
-            winner_total=t1.winner_total,
-        )
+        StrategyTrace(turns=t1.turns[:1])  # stops before the empty game
+    with pytest.raises(ValueError):
+        StrategyTrace(turns=t1.turns[::-1])  # a turn does not follow its predecessor
 
 
 def test_simulate_replies_on_the_given_solver():
