@@ -12,7 +12,10 @@ canonical :class:`Game`, single plies, validated loser/winner turn pairs,
 the 𝔊(a, m, x) three-pile family, and small closed-form helpers.
 :func:`_child` is the one successor helper: :meth:`Game.apply`, both
 engines and the oracle all step from a canonical tuple to its child
-through it.  The value recursion itself lives in :mod:`candynim.solver`.
+through it.  Beside it, :func:`_plies_of` is the one ply factory: the
+engines' ``(pile_index, new_size)`` pairs and the move generators' plies
+all become shared :class:`Ply` instances through it.  The value
+recursion itself lives in :mod:`candynim.solver`.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ _GAME_RE = re.compile(
     r"^\s*(\[\s*(?P<inner>[^\[\]]*)\s*\]|(?P<bare>[^\[\]]*))\s*$", re.ASCII
 )
 _PILE_RE = re.compile(r"[0-9]+")
+# a comma-separated list of _PILE_RE fields, each with its whitespace
+_PILES_RE = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*", re.ASCII)
 
 
 class OutcomeClass(Enum):
@@ -113,13 +118,22 @@ class Game:
         inner = inner.strip(_SPACE)
         if not inner:
             return cls(())
-        piles = []
-        for field in inner.split(","):
-            field = field.strip(_SPACE)
-            if not _PILE_RE.fullmatch(field):
-                raise ParseError(f"bad pile size {field!r} in game notation {text!r}")
-            piles.append(int(field))
-        return cls(piles)
+        fields = inner.split(",")
+        if not _PILES_RE.fullmatch(inner):
+            for field in fields:
+                field = field.strip(_SPACE)
+                if not _PILE_RE.fullmatch(field):
+                    raise ParseError(f"bad pile size {field!r} in game notation {text!r}")
+        # int() skips the ASCII whitespace around each field.  Every pile is
+        # a nonnegative int, so only the cap is left to check; Game() raises
+        # its error, message and all.
+        piles = [int(field) for field in fields]
+        if max(piles) > PILE_CAP:
+            return cls(piles)
+        piles.sort(reverse=True)
+        while piles and not piles[-1]:
+            piles.pop()
+        return cls._canonical(tuple(piles))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.piles) + "]"
@@ -203,6 +217,31 @@ class Ply:
         return f"{game[self.pile_index]}->{self.new_size}"
 
 
+# Shared plies, by (pile_index, new_size).  Capped, so that the moves of one
+# huge pile cannot grow it without limit; past the cap plies come fresh.
+_PLY_CAP = 1024
+_PLIES: dict = {}
+
+
+def _plies_of(pairs) -> tuple[Ply, ...]:
+    """The ``Ply`` of each ``(pile_index, new_size)`` pair, as a tuple.
+
+    The one factory for the plies that the engines and move generators
+    hand out.  A pair's ``Ply`` is built once and then shared from
+    ``_PLIES`` while it has room; a ``Ply`` is immutable, so a shared one
+    behaves exactly as a fresh one.
+    """
+    get = _PLIES.get
+    return tuple([get(pair) or _new_ply(pair) for pair in pairs])
+
+
+def _new_ply(pair: tuple) -> Ply:
+    ply = Ply(*pair)
+    if len(_PLIES) < _PLY_CAP:
+        _PLIES[pair] = ply
+    return ply
+
+
 def loser_moves(game: Game) -> tuple[Ply, ...]:
     """Every legal ply, one per (pile, target size) pair.
 
@@ -211,9 +250,7 @@ def loser_moves(game: Game) -> tuple[Ply, ...]:
     """
     if not game:
         raise NoMovesError("the empty game has no moves")
-    return tuple(
-        Ply(i, new) for i, p in enumerate(game.piles) for new in range(p)
-    )
+    return _plies_of([(i, new) for i, p in enumerate(game.piles) for new in range(p)])
 
 
 def winning_moves(game: Game) -> tuple[Ply, ...]:
@@ -226,12 +263,7 @@ def winning_moves(game: Game) -> tuple[Ply, ...]:
     g = game.grundy
     if g == 0:
         return ()
-    out = []
-    for i, p in enumerate(game.piles):
-        target = g ^ p
-        if target < p:
-            out.append(Ply(i, target))
-    return tuple(out)
+    return _plies_of([(i, g ^ p) for i, p in enumerate(game.piles) if g ^ p < p])
 
 
 def unique_response(game: Game, ply: Ply) -> Ply:

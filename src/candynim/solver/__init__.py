@@ -35,7 +35,7 @@ import multiprocessing
 import sys
 from dataclasses import dataclass
 
-from ..core import Game, Ply, _child
+from ..core import Game, Ply, _child, _plies_of
 from ..errors import (
     BudgetError,
     EngineError,
@@ -108,7 +108,7 @@ def _solved(game: Game, line) -> SolveResult:
     """Result for a game from its ``(value, plies)`` line."""
     value, plies = line
     n_loser, n_winner = _split(game.total, value)
-    return SolveResult(game, value, n_loser, n_winner, tuple([Ply(i, new) for i, new in plies]))
+    return SolveResult(game, value, n_loser, n_winner, _plies_of(plies))
 
 
 def _with_room(total: int, fn, *args):
@@ -229,7 +229,7 @@ class Solver:
         if not game:
             return ()
         scores = self._run("scores", game)
-        return tuple([Ply(i, new) for i, new in _best_plies(game.piles, scores)])
+        return _plies_of(_best_plies(game.piles, scores))
 
     def oracle_solve(self, game: Game) -> SolveResult:
         """Solve by memoless reference recursion (cross-check path).

@@ -177,24 +177,23 @@ static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t 
 
 /* An upper bound, with no probe, on the score of the loser's ply that drops
    pile i to ns at a stripped loser-to-move position of total tot.  A winner
-   reply that takes reply candies leaves rest = tot - take - reply: nothing,
-   worth 0, or a nonempty zero nim-sum position, worth at most rest - 2.
-   The new pile ns has no reply, its restoring size being arr[i], so the
-   replies are on the other piles; the child's nim-sum is nonzero, so one
-   of them has one. */
+   reply that takes reply candies leaves rest = tot - take - reply, a zero
+   nim-sum position that is never empty: a stripped P position has at least
+   three distinct piles, and the ply and the reply change only two of them.
+   So rest is worth at most rest - 2, and the ply scores at most
+   take + rest - 2 - reply = tot - 2 - 2 * reply for every reply; the bound
+   takes the largest.  The new pile ns has no reply, its restoring size
+   being arr[i], so the replies are on the other piles; the child's nim-sum
+   is nonzero, so one of them has one. */
 static int64_t ply_bound(const int64_t *arr, int n, int64_t tot, int i, int64_t ns)
 {
-    int64_t g = arr[i] ^ ns, take = arr[i] - ns, low = INT64_MAX;
+    int64_t g = arr[i] ^ ns, most = 0;
     for (int j = 0; j < n; j++) {
-        int64_t target = g ^ arr[j];
-        if (j == i || target >= arr[j])
-            continue;
-        int64_t reply = arr[j] - target, rest = tot - take - reply;
-        int64_t v = (rest ? rest - 2 : 0) - reply;
-        if (v < low)
-            low = v;
+        int64_t reply = arr[j] - (g ^ arr[j]);
+        if (j != i && reply > most)
+            most = reply;
     }
-    return take + low;
+    return tot - 2 - 2 * most;
 }
 
 /* Value of a stripped loser-to-move position (nonempty, zero nim-sum),

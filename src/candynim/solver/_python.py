@@ -55,11 +55,23 @@ def _best_plies(piles: tuple, scores: list) -> list:
 
     ``scores`` holds one score per ply in :func:`_plies` order, as
     :meth:`PyEngine.scores` gives them; the plies come back as
-    ``(pile_index, new_size)`` in that order.
+    ``(pile_index, new_size)`` in that order.  At a zero nim-sum position
+    pile ``i`` owns the ``piles[i]`` scores after those of the piles
+    before it, one per new size, so each best score's index decodes to
+    its ply; a winner has at most one ply per pile, and those are zipped.
     """
     best = max(scores)
-    plies = _plies(piles, nim_sum(piles))
-    return [ply for ply, score in zip(plies, scores) if score == best]
+    g = nim_sum(piles)
+    if g:
+        return [ply for ply, score in zip(_plies(piles, g), scores) if score == best]
+    out, i, start, k = [], 0, 0, -1
+    for _ in range(scores.count(best)):
+        k = scores.index(best, k + 1)
+        while k - start >= piles[i]:
+            start += piles[i]
+            i += 1
+        out.append((i, k - start))
+    return out
 
 
 def _best_entry(piles: tuple, scores: list) -> tuple:

@@ -4,12 +4,15 @@ import pytest
 from fractions import Fraction
 
 import candynim
+from candynim import core
 from candynim.core import (
+    PILE_CAP,
     Game,
     OutcomeClass,
     Ply,
     Turn,
     _pile_change,
+    _plies_of,
     g_family_realize,
     loser_moves,
     nim_sum,
@@ -23,6 +26,7 @@ from candynim.errors import (
     IllegalMoveError,
     NoMovesError,
     ParseError,
+    PileCapError,
 )
 
 
@@ -53,6 +57,24 @@ def test_parse_accepts_both_notations():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         Game.parse(bad)
+
+
+def test_parse_reports_a_bad_field_before_an_over_cap_pile():
+    with pytest.raises(ParseError, match="bad pile size 'x'"):
+        Game.parse("[99999999999, x]")
+
+
+@pytest.mark.parametrize(
+    "piles", [[PILE_CAP + 1], [3, 0, PILE_CAP + 1], [PILE_CAP + 1, 5, PILE_CAP + 7]]
+)
+def test_parse_raises_the_cap_error_of_game(piles):
+    with pytest.raises(PileCapError) as direct:
+        Game(piles)
+    for text in (str(piles), ",".join(map(str, piles))):
+        with pytest.raises(PileCapError) as parsed:
+            Game.parse(text)
+        assert str(parsed.value) == str(direct.value)
+    assert Game.parse(f"[{PILE_CAP}, 0]").piles == (PILE_CAP,)
 
 
 def test_str_is_canonical_bracketed():
@@ -99,6 +121,24 @@ def test_loser_moves_count_equals_total():
     assert len(loser_moves(g)) == g.total
     with pytest.raises(NoMovesError):
         loser_moves(Game([]))
+
+
+def test_shared_plies_behave_as_fresh_ones():
+    pairs = [(2, 5), (0, 1), (2, 0), (0, 1)]
+    shared = _plies_of(pairs)
+    fresh = [Ply(i, new) for i, new in pairs]
+    assert type(shared) is tuple and shared[1] is shared[3]
+    assert list(shared) == fresh
+    assert [hash(p) for p in shared] == [hash(p) for p in fresh]
+    assert [repr(p) for p in shared] == [repr(p) for p in fresh]
+    assert sorted(shared) == sorted(fresh)
+    assert Ply(0, 1) != (0, 1) and shared[1] != (0, 1)
+
+
+def test_ply_table_stays_within_its_cap():
+    plies = loser_moves(Game([10_000]))
+    assert len(core._PLIES) <= core._PLY_CAP
+    assert plies == tuple(Ply(0, new) for new in range(10_000))
 
 
 def test_winning_moves_known_positions():

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,8 @@ from candynim.core import (
     xor_adjacent,
 )
 from candynim.errors import IllegalMoveError, ParseError
-from candynim.solver import Solver, solve
+from candynim.solver import Solver, kernel_available, solve
+from candynim.solver._python import _best_plies, _plies
 
 small_piles = st.lists(st.integers(min_value=0, max_value=9), max_size=5)
 
@@ -203,3 +205,56 @@ def test_pile_change_matches_the_counter_definition(piles, other, d):
     pairs += [(g, g + Game([d])), (g, g + Game([d, d + 1]))]
     for a, b in pairs:
         assert _outcome(_pile_change, a, b) == _outcome(_pile_change_reference, a, b)
+
+
+# ASCII whitespace only; the notation rejects any other
+_blank = st.text(alphabet=" \t\n\r\f\v", max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeating_piles, st.data())
+def test_parse_matches_game_of_its_fields(piles, data):
+    # leading zeros, zero piles and repeated piles, bracketed and bare
+    fields = [data.draw(st.sampled_from(["", "0", "00"])) + str(p) for p in piles]
+    body = ",".join(data.draw(_blank) + f + data.draw(_blank) for f in fields)
+    if data.draw(st.booleans()):
+        body = "[" + body + "]"
+    text = data.draw(_blank) + body + data.draw(_blank)
+    parsed = Game.parse(text)
+    assert parsed == Game(piles)
+    assert type(parsed.piles) is tuple
+
+
+def _best_plies_reference(piles, scores):
+    """``_best_plies`` by its definition: every candidate ply, zipped with its score."""
+    return [ply for ply, s in zip(_plies(piles, nim_sum(piles)), scores) if s == max(scores)]
+
+
+@pytest.fixture(scope="module")
+def solvers():
+    """One solver per engine, shared by every example of a property."""
+    native = Solver(engine="native") if kernel_available() else None
+    return {"python": Solver(engine="python"), "native": native}
+
+
+@pytest.mark.parametrize("engine", ["python", "native"])
+@settings(max_examples=80, deadline=None)
+@given(small_piles, st.booleans())
+def test_best_plies_decode_matches_the_zip_definition(solvers, engine, piles, closed):
+    if solvers[engine] is None:
+        pytest.skip("compiled kernel absent")
+    g = _p_position(piles) if closed else Game(piles)
+    assume(g and g.total <= 20)
+    scores = solvers[engine]._run("scores", g)
+    assert _best_plies(g.piles, scores) == _best_plies_reference(g.piles, scores)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_piles, st.data())
+def test_best_plies_decode_keeps_every_tie(piles, data):
+    # scores from {0, 1, 2} tie often, across pile boundaries too
+    g = Game(piles)
+    assume(g)
+    n = len(list(_plies(g.piles, g.grundy)))
+    scores = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    assert _best_plies(g.piles, scores) == _best_plies_reference(g.piles, scores)
