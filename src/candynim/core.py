@@ -46,8 +46,16 @@ _GAME_RE = re.compile(
     r"^\s*(\[\s*(?P<inner>[^\[\]]*)\s*\]|(?P<bare>[^\[\]]*))\s*$", re.ASCII
 )
 _PILE_RE = re.compile(r"[0-9]+")
-# a comma-separated list of _PILE_RE fields, each with its whitespace
-_PILES_RE = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*", re.ASCII)
+# the digits of PILE_CAP: a field with more significant digits is over it
+_CAP_DIGITS = len(str(PILE_CAP))
+# a comma-separated list of _PILE_RE fields of at most _CAP_DIGITS digits,
+# each with its whitespace
+_FIELD = rf"\s*[0-9]{{1,{_CAP_DIGITS}}}\s*"
+_PILES_RE = re.compile(rf"{_FIELD}(?:,{_FIELD})*", re.ASCII)
+
+
+def _over_cap(pile) -> PileCapError:
+    return PileCapError(f"pile {pile} exceeds the hard cap {PILE_CAP}")
 
 
 class OutcomeClass(Enum):
@@ -100,7 +108,7 @@ class Game:
             if p < 0:
                 raise ParseError(f"pile sizes must be nonnegative, got {p}")
             if p > PILE_CAP:
-                raise PileCapError(f"pile {p} exceeds the hard cap {PILE_CAP}")
+                raise _over_cap(p)
             if p:
                 cleaned.append(p)
         cleaned.sort(reverse=True)
@@ -120,10 +128,17 @@ class Game:
             return cls(())
         fields = inner.split(",")
         if not _PILES_RE.fullmatch(inner):
+            fields = [field.strip(_SPACE) for field in fields]
             for field in fields:
-                field = field.strip(_SPACE)
                 if not _PILE_RE.fullmatch(field):
                     raise ParseError(f"bad pile size {field!r} in game notation {text!r}")
+            # int() takes at most 4,300 digits, leading zeros included, so a
+            # field goes to it without them, and one with more significant
+            # digits than PILE_CAP is over the cap before it is converted
+            fields = [field.lstrip("0") or "0" for field in fields]
+            for digits in fields:
+                if len(digits) > _CAP_DIGITS:
+                    raise _over_cap(digits)
         # int() skips the ASCII whitespace around each field.  Every pile is
         # a nonnegative int, so only the cap is left to check; Game() raises
         # its error, message and all.

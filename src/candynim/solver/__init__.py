@@ -24,8 +24,12 @@ keeps the pairs, so it stays an independent check of that shortcut.  The
 kernel's value search also prunes: a nonempty zero nim-sum position of
 total ``t`` is worth at most ``t - 2``, since the winner takes the last
 candy, and a loser's ply whose bound from that fact cannot beat the best
-ply found is never searched.  The Python engine scans every ply, so it
-checks the pruning too.
+ply found is never searched.  It bounds whole aligned blocks of such plies
+at once, skipping the same plies with fewer checks, and builds each of the
+winner's reply positions in one step from the position before the loser's
+ply.  A principal line drops a ply on the first reply that proves it
+short of the value already known.  The Python engine scans every ply, so
+it checks the pruning too.
 """
 
 from __future__ import annotations
@@ -259,7 +263,10 @@ class Solver:
         and ``misses`` count table probes, one each time the engine reaches
         a loser-to-move position, principal lines included.  The kernel's
         search is pruned, so its hits and misses count the probes it makes,
-        not every loser-to-move position a full scan would reach.
+        not every loser-to-move position a full scan would reach.  It skips
+        the loser's plies by whole blocks, but searches exactly the plies a
+        one-at-a-time scan would, so blocks do not change the counts; a
+        principal line stops scoring a ply once it falls short of the value.
         """
         out = self._native.stats() if self._native is not None else []
         if self._py is not None:

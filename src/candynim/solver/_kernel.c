@@ -15,8 +15,21 @@
      position of total t is worth at most t - 2, since the winner takes its
      last candy; so a loser's ply is bounded, with no probe, through the
      winner's replies to it, and skipped when the bound cannot beat the best
-     ply found.  The winner's fold over replies stops once the loser's ply
-     cannot beat that best either.  Only exact values reach the table.
+     ply found.  A skipped ply widens to the largest aligned block of new
+     sizes below it whose bound, from the smallest reply on each pile over
+     the block, cannot beat that best either, and the block is skipped
+     whole; as nothing changes the best while plies are skipped, these are
+     the plies a one-at-a-time scan would skip.  The winner's fold over
+     replies stops once the loser's ply cannot beat that best either.  Only
+     exact values reach the table.
+   - The winner's replies are scored straight from the loser-to-move
+     position: each reply position is built from it in one merge, with the
+     loser's ply and the reply both applied, and the position between is
+     never built.
+   - line() knows the value of each loser-to-move position it walks through,
+     so a ply is scored only up to the point that it cannot reach that
+     value: the winner's fold stops on the first reply that proves it
+     short.  scores() stays exact.
 
    The table is one flat array per engine: 16-byte slots, linear probing
    over a power-of-two size, a splitmix64 hash.  It starts at MIN_SLOTS
@@ -76,26 +89,39 @@ typedef struct {
     uint64_t entries[MAX_N + 1], hits[MAX_N + 1], misses[MAX_N + 1];
 } Engine;
 
-/* Copy arr minus index skip, with ns (if nonzero) inserted, kept
-   descending.  With cancel set, ns and an equal pile drop out as a pair. */
-static int make_child(const int64_t *arr, int n, int skip, int64_t ns, int cancel,
-                      int64_t *out)
+/* arr minus piles i and j, with x and y inserted, kept descending.  i and j
+   may coincide, and -1 names no pile; x > y, and a zero is not inserted.
+   With cancel set, an inserted size and an equal pile drop out as a pair. */
+static int merge(const int64_t *arr, int n, int i, int j, int64_t x, int64_t y, int cancel,
+                 int64_t *out)
 {
-    int m = 0, placed = ns == 0;
-    for (int j = 0; j < n; j++) {
-        if (j == skip)
+    int m = 0;
+    for (int k = 0; k < n; k++) {
+        if (k == i || k == j)
             continue;
-        if (!placed && ns >= arr[j]) {
-            placed = 1;
-            if (cancel && ns == arr[j])
-                continue;
-            out[m++] = ns;
+        int64_t a = arr[k];
+        int drop = 0;
+        while (x >= a) { /* piles are positive, so a zero x never passes */
+            drop = cancel && x == a;
+            if (!drop)
+                out[m++] = x;
+            x = y;
+            y = 0;
         }
-        out[m++] = arr[j];
+        if (!drop)
+            out[m++] = a;
     }
-    if (!placed)
-        out[m++] = ns;
+    if (x)
+        out[m++] = x;
+    if (y)
+        out[m++] = y;
     return m;
+}
+
+/* The child of arr after pile i drops to ns, pairs and all. */
+static int make_child(const int64_t *arr, int n, int i, int64_t ns, int64_t *out)
+{
+    return merge(arr, n, i, i, ns, 0, 0, out);
 }
 
 /* Drop every equal pair from a descending position, in place. */
@@ -172,24 +198,33 @@ static int grow(Engine *e)
     return 0;
 }
 
-static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t floor,
-                       int turns);
+static int64_t n_value(Engine *e, const int64_t *arr, int n, int i, int64_t ns, int64_t g,
+                       int64_t floor, int turns);
 
-/* An upper bound, with no probe, on the score of the loser's ply that drops
-   pile i to ns at a stripped loser-to-move position of total tot.  A winner
-   reply that takes reply candies leaves rest = tot - take - reply, a zero
-   nim-sum position that is never empty: a stripped P position has at least
-   three distinct piles, and the ply and the reply change only two of them.
-   So rest is worth at most rest - 2, and the ply scores at most
-   take + rest - 2 - reply = tot - 2 - 2 * reply for every reply; the bound
-   takes the largest.  The new pile ns has no reply, its restoring size
-   being arr[i], so the replies are on the other piles; the child's nim-sum
-   is nonzero, so one of them has one. */
-static int64_t ply_bound(const int64_t *arr, int n, int64_t tot, int i, int64_t ns)
+/* An upper bound, with no probe, on the score of every loser's ply that
+   drops pile i to a size in one aligned block at a stripped loser-to-move
+   position of total tot.  The block holds the 2^k sizes that agree with
+   g ^ arr[i] above the low k bits, low being 2^k - 1, so the nim-sum g' of
+   each child agrees with g above them.  A winner reply on pile j takes
+   reply_j = a - (g' ^ a) of its a candies and leaves rest = tot - take -
+   reply_j, a zero nim-sum position that is never empty: a stripped P
+   position has at least three distinct piles, and the ply and the reply
+   change only two of them.  So rest is worth at most rest - 2, and the ply
+   scores at most take + rest - 2 - reply_j = tot - 2 - 2 * reply_j for
+   every reply.  Over the block, reply_j is at least
+   (a & ~low) - ((a ^ g) & ~low) - (~a & low): the bits of g' above low
+   fixed, its low bits the complement of a's.  The bound takes the largest
+   of these.  The new pile has no reply, its restoring size being arr[i],
+   so the replies are on the other piles; the child's nim-sum is nonzero,
+   so one of them has one.  With low 0 the block is one ply, and the bound
+   is that ply's. */
+static int64_t block_bound(const int64_t *arr, int n, int64_t tot, int i, int64_t g,
+                           int64_t low)
 {
-    int64_t g = arr[i] ^ ns, most = 0;
+    int64_t most = 0;
     for (int j = 0; j < n; j++) {
-        int64_t reply = arr[j] - (g ^ arr[j]);
+        int64_t a = arr[j];
+        int64_t reply = (a & ~low) - ((a ^ g) & ~low) - (~a & low);
         if (j != i && reply > most)
             most = reply;
     }
@@ -217,19 +252,27 @@ static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
        position has at least three distinct piles.  Small grabs come first,
        so a high best is found early; a ply whose bound cannot beat it is
        skipped, and a child's fold stops once it cannot either.  best stays
-       exact: only a child scored above it replaces it. */
-    int64_t buf[MAX_N];
+       exact: only a child scored above it replaces it.  Nothing changes
+       best while plies are skipped, so a skipped ply ns widens to the
+       largest aligned block [hi - size, hi), hi = ns + 1, whose bound cannot
+       beat best either, and the block is skipped whole: the same plies as
+       one at a time, with fewer bounds. */
     int64_t best = FAIL, tot = 0;
     for (int j = 0; j < n; j++)
         tot += arr[j];
     for (int i = 0; i < n; i++) {
         int64_t p = arr[i];
         for (int64_t ns = p - 1; ns >= 0; ns--) {
-            if (best != FAIL && ply_bound(arr, n, tot, i, ns) <= best)
+            if (best != FAIL && block_bound(arr, n, tot, i, p ^ ns, 0) <= best) {
+                uint64_t hi = (uint64_t)ns + 1, size = 1;
+                while (!(hi & (2 * size - 1)) &&
+                       block_bound(arr, n, tot, i, p ^ ns, (int64_t)(2 * size - 1)) <= best)
+                    size *= 2;
+                ns = (int64_t)(hi - size);
                 continue;
-            int m = make_child(arr, n, i, ns, 1, buf);
-            int64_t v = n_value(e, buf, m, p ^ ns, best == FAIL ? FAIL : best - (p - ns),
-                                turns - 1);
+            }
+            int64_t v = n_value(e, arr, n, i, ns, p ^ ns,
+                                best == FAIL ? FAIL : best - (p - ns), turns - 1);
             if (v == FAIL)
                 return FAIL;
             v += p - ns;
@@ -255,24 +298,31 @@ static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
     return best;
 }
 
-/* Value of a stripped winner-to-move position; g is its nonzero nim-sum.
-   The fold over the winner's replies stops once one scores at most floor
-   and returns that score, an upper bound on the value; a floor of FAIL
-   asks for the exact value.  turns is the budget of the searches below. */
-static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t floor,
-                       int turns)
+/* Value of the winner-to-move position that the loser's ply dropping pile
+   i to ns leaves at the stripped position arr, or of arr itself when i is
+   -1 (and ns 0); g is that position's nonzero nim-sum.  Each reply position
+   is built from arr in one merge, so the position between is never built:
+   the reply on pile j leaves arr less arr[i] and arr[j], plus ns and the
+   target, with zeros and equal pairs dropped.  Pile i has no reply, as its
+   restoring size is arr[i]; nor has a pile equal to ns, as it would restore
+   the same.  The fold over the replies stops once one scores at most floor
+   and returns that score, an upper bound on the value; a floor of FAIL asks
+   for the exact value.  turns is the budget of the searches below. */
+static int64_t n_value(Engine *e, const int64_t *arr, int n, int i, int64_t ns, int64_t g,
+                       int64_t floor, int turns)
 {
     int64_t buf[MAX_N];
     int64_t best = INT64_MAX;
-    for (int i = 0; i < n; i++) {
-        int64_t target = g ^ arr[i];
-        if (target >= arr[i])
+    for (int j = 0; j < n; j++) {
+        int64_t target = g ^ arr[j];
+        if (j == i || target >= arr[j])
             continue;
-        int m = make_child(arr, n, i, target, 1, buf);
+        int m = ns > target ? merge(arr, n, i, j, ns, target, 1, buf)
+                            : merge(arr, n, i, j, target, ns, 1, buf);
         int64_t v = m ? search(e, buf, m, turns) : 0;
         if (v == FAIL)
             return FAIL;
-        v -= arr[i] - target;
+        v -= arr[j] - target;
         if (v < best)
             best = v;
         if (best <= floor)
@@ -285,8 +335,10 @@ static int64_t n_value(Engine *e, const int64_t *arr, int n, int64_t g, int64_t 
     return best;
 }
 
-/* Value of any canonical position, pairs and all. */
-static int64_t value_of(Engine *e, const int64_t *arr, int n)
+/* Value of any canonical position, pairs and all.  A winner-to-move
+   position's fold stops at floor, as in n_value; FAIL asks for the exact
+   value. */
+static int64_t value_of(Engine *e, const int64_t *arr, int n, int64_t floor)
 {
     int64_t buf[MAX_N];
     memcpy(buf, arr, n * sizeof(int64_t));
@@ -294,7 +346,7 @@ static int64_t value_of(Engine *e, const int64_t *arr, int n)
     if (n == 0)
         return 0;
     int64_t g = nim_sum(buf, n);
-    return g ? n_value(e, buf, n, g, FAIL, MAX_TURNS) : search(e, buf, n, MAX_TURNS);
+    return g ? n_value(e, buf, n, -1, 0, g, floor, MAX_TURNS) : search(e, buf, n, MAX_TURNS);
 }
 
 /* Read a canonical pile sequence that packs at its own width; return its
@@ -409,7 +461,7 @@ static PyObject *Engine_solve_value(PyObject *self, PyObject *piles)
     int n = e ? load(piles, arr) : -1;
     if (n < 0)
         return NULL;
-    int64_t v = value_of(e, arr, n);
+    int64_t v = value_of(e, arr, n, FAIL);
     return v == FAIL ? NULL : PyLong_FromLongLong(v);
 }
 
@@ -427,7 +479,9 @@ static void sizes(int64_t g, int64_t p, int64_t *lo, int64_t *hi)
    then the smallest new size.  Plies are scanned by index and size
    ascending, so a later ply wins a tie only with a smaller child.  At a
    loser-to-move position the best value is known from the table, and a
-   ply whose child cannot beat the one found is not scored. */
+   ply whose child cannot beat the one found is not scored; the child's
+   fold gets the floor target - take - 1, so a ply that cannot reach the
+   value is dropped on the first reply that proves it short. */
 static int best_ply(Engine *e, const int64_t *arr, int n, int64_t *value, int *pile,
                     int64_t *size)
 {
@@ -435,17 +489,17 @@ static int best_ply(Engine *e, const int64_t *arr, int n, int64_t *value, int *p
     int64_t g = nim_sum(arr, n), target = 0;
     uint64_t best_key = 0;
     int have = 0;
-    if (g == 0 && (target = value_of(e, arr, n)) == FAIL)
+    if (g == 0 && (target = value_of(e, arr, n, FAIL)) == FAIL)
         return -1;
     for (int i = 0; i < n; i++) {
         int64_t p = arr[i], lo, hi;
         sizes(g, p, &lo, &hi);
         for (int64_t ns = lo; ns < hi; ns++) {
-            int m = make_child(arr, n, i, ns, 0, buf);
+            int m = make_child(arr, n, i, ns, buf);
             uint64_t key = pack(buf, m, n);
             if (g == 0 && have && key >= best_key)
                 continue;
-            int64_t v = value_of(e, buf, m);
+            int64_t v = value_of(e, buf, m, g ? FAIL : target - (p - ns) - 1);
             if (v == FAIL)
                 return -1;
             v = g ? v - (p - ns) : v + (p - ns);
@@ -490,7 +544,7 @@ static PyObject *Engine_line(PyObject *self, PyObject *piles)
             goto fail;
         }
         Py_DECREF(ply);
-        n = make_child(arr, n, i, ns, 0, buf);
+        n = make_child(arr, n, i, ns, buf);
         memcpy(arr, buf, n * sizeof(int64_t));
     }
     return Py_BuildValue("(LN)", (long long)root, plies);
@@ -523,8 +577,8 @@ static PyObject *Engine_scores(PyObject *self, PyObject *piles)
         int64_t p = arr[i];
         sizes(g, p, &lo, &hi);
         for (int64_t ns = lo; ns < hi; ns++) {
-            int m = make_child(arr, n, i, ns, 0, buf);
-            int64_t v = value_of(e, buf, m);
+            int m = make_child(arr, n, i, ns, buf);
+            int64_t v = value_of(e, buf, m, FAIL);
             PyObject *score = v == FAIL ? NULL : PyLong_FromLongLong(p - ns + (g ? -v : v));
             if (score == NULL) {
                 Py_DECREF(out);

@@ -193,6 +193,11 @@ def test_pile_cap_budget_exit_3():
     assert run(["--pile-cap", "4", "solve", "[8,8]"])[0] == 3
 
 
+def test_pile_too_long_for_int_exits_3():
+    # past int()'s 4,300-digit limit, still the hard cap's budget error
+    assert run(["solve", "[" + "9" * 5000 + "]"])[0] == 3
+
+
 def test_solve_pile_past_the_c_int_recursion_limit():
     code, text = run(["solve", "[2147483648]", "--pile-cap", "4294967295", "--engine", "python"])
     assert code == 0

@@ -77,6 +77,25 @@ def test_parse_raises_the_cap_error_of_game(piles):
     assert Game.parse(f"[{PILE_CAP}, 0]").piles == (PILE_CAP,)
 
 
+def test_parse_puts_a_long_field_over_the_cap_before_converting_it():
+    # int() refuses strings of more than 4,300 digits, leading zeros included
+    nines = "9" * 5000
+    with pytest.raises(PileCapError) as long:
+        Game.parse(f"[3, {nines}]")
+    assert str(long.value) == f"pile {nines} exceeds the hard cap {PILE_CAP}"
+    # ten significant digits behind leading zeros: Game()'s error, message and all
+    with pytest.raises(PileCapError) as direct:
+        Game([9999999999])
+    for text in ("[0009999999999]", " 00009999999999 , 1", "[" + "0" * 5000 + "9999999999]"):
+        with pytest.raises(PileCapError) as parsed:
+            Game.parse(text)
+        assert str(parsed.value) == str(direct.value)
+    assert Game.parse("[" + "0" * 5000 + "5, 000]") == Game([5])
+    assert Game.parse(f"0{PILE_CAP}, 00") == Game([PILE_CAP])
+    with pytest.raises(ParseError, match="bad pile size 'x'"):
+        Game.parse(f"[{nines}, x]")
+
+
 def test_str_is_canonical_bracketed():
     assert str(Game([1, 3, 2])) == "[3,2,1]"
     assert str(Game([])) == "[]"

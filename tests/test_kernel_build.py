@@ -7,7 +7,9 @@ extended ``verify all`` report in a fresh interpreter; without a compiler
 the same build still leaves a working pure-Python package.  The source
 must also compile as strict C11 at ``-O3``, ``-Wall -Wextra -Wpedantic``
 with every warning an error, so a warning in new kernel code fails here
-instead of scrolling past in the build log.
+instead of scrolling past in the build log.  A build under the undefined
+behaviour sanitizer runs the solver tests too, so a signed shift or
+overflow in the search aborts them.
 """
 
 import os
@@ -73,6 +75,30 @@ def test_built_kernel_passes_the_solver_tests(tmp_path):
     tests = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                  "tests/test_solver.py",
                  "tests/test_harness.py::test_extended_report_bytes_are_pinned")
+    summary = tests.stdout.strip().splitlines()[-1]
+    assert tests.returncode == 0, tests.stdout + tests.stderr
+    assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary
+
+
+# Python's own CFLAGS carry -fwrapv, which turns the signed-overflow check
+# off; -fno-wrapv after them turns it back on
+UBSAN = "-fsanitize=undefined -fno-sanitize-recover=undefined"
+
+
+def _links_ubsan(tmp: Path) -> bool:
+    src = tmp / "probe.c"
+    src.write_text("int probe(int x) { return x << 1; }\n")
+    cmd = [*_cc(), *UBSAN.split(), "-shared", "-fPIC", "-o", str(tmp / "probe.so"), str(src)]
+    return subprocess.run(cmd, capture_output=True, timeout=TIMEOUT_S).returncode == 0
+
+
+@pytest.mark.skipif(not _cc_found(), reason="no C compiler")
+def test_kernel_under_the_undefined_behaviour_sanitizer(tmp_path):
+    if not _links_ubsan(tmp_path):
+        pytest.skip("the C compiler cannot link the undefined behaviour sanitizer")
+    lib = _build(tmp_path, CFLAGS=f"{UBSAN} -fno-wrapv", LDFLAGS="-fsanitize=undefined")
+    assert _kernels(lib), "setup.py built no _kernel*.so"
+    tests = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_solver.py")
     summary = tests.stdout.strip().splitlines()[-1]
     assert tests.returncode == 0, tests.stdout + tests.stderr
     assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary

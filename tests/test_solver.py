@@ -147,6 +147,41 @@ def test_pruned_kernel_matches_the_plain_engine_above_the_sweep(warm_engines, pi
     assert native._native.scores(g.piles) == python._py.scores(g.piles)
 
 
+# 3-pile P and N positions with one pile of 33-90, some with a small equal
+# pair added: the kernel skips blocks of up to 64 loser plies on them, where
+# the piles of WIDE_GAMES give blocks of at most 16
+TALL_GAMES = st.builds(
+    lambda tall, small, other, close, pair: (
+        [tall, small, tall ^ small if close else other] + [pair, pair] * (pair > 0)
+    ),
+    st.integers(min_value=33, max_value=90), st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=16), st.booleans(), st.integers(min_value=0, max_value=2),
+)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+@settings(max_examples=30, deadline=None)
+@given(TALL_GAMES)
+def test_kernel_block_skips_match_the_plain_engine_on_tall_piles(warm_engines, piles):
+    native, python = warm_engines
+    g = Game(piles)
+    assert native.solve(g) == python.solve(g)
+    assert native.best_plies(g) == python.best_plies(g)
+    assert native._native.scores(g.piles) == python._py.scores(g.piles)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_kernel_solves_a_tall_three_pile_game():
+    # blocks of up to 512 loser plies are skipped whole on this game
+    r = Solver(engine="native").solve(Game([968, 600, 400]))
+    assert r.value == 1884
+    pos = r.game
+    for ply in r.principal_line:
+        pos = pos.apply(ply)
+    assert pos == Game([])
+    assert r.n_loser - r.n_winner == r.value and r.n_loser + r.n_winner == 1968
+
+
 def test_p_position_value_leaves_the_winner_two_candies():
     # the winner takes the last candy, so value = total - 2 * n_winner <= total - 2;
     # the kernel prunes with this bound, so it is checked on the Python engine
