@@ -12,10 +12,11 @@ canonical :class:`Game`, single plies, validated loser/winner turn pairs,
 the 𝔊(a, m, x) three-pile family, and small closed-form helpers.
 :func:`_child` is the one successor helper: :meth:`Game.apply`, both
 engines and the oracle all step from a canonical tuple to its child
-through it.  Beside it, :func:`_plies_of` is the one ply factory: the
-engines' ``(pile_index, new_size)`` pairs and the move generators' plies
-all become shared :class:`Ply` instances through it.  The value
-recursion itself lives in :mod:`candynim.solver`.
+through it.  Beside it, :func:`_ply_row` is the one ply factory: it keeps
+one row of shared :class:`Ply` instances per pile index, which
+:func:`_plies_of` indexes for the engines' ``(pile_index, new_size)``
+pairs and :func:`loser_moves` slices.  The value recursion itself lives
+in :mod:`candynim.solver`.
 """
 
 from __future__ import annotations
@@ -48,14 +49,45 @@ _GAME_RE = re.compile(
 _PILE_RE = re.compile(r"[0-9]+")
 # the digits of PILE_CAP: a field with more significant digits is over it
 _CAP_DIGITS = len(str(PILE_CAP))
-# a comma-separated list of _PILE_RE fields of at most _CAP_DIGITS digits,
-# each with its whitespace
+# the game text that needs no field-by-field check: a comma-separated list of
+# _PILE_RE fields of at most _CAP_DIGITS digits, each with its whitespace,
+# bracketed or bare, with whitespace around it; group 2 is the list
 _FIELD = rf"\s*[0-9]{{1,{_CAP_DIGITS}}}\s*"
-_PILES_RE = re.compile(rf"{_FIELD}(?:,{_FIELD})*", re.ASCII)
+_LIST_RE = re.compile(rf"\s*(\[)?({_FIELD}(?:,{_FIELD})*)(?(1)\])\s*", re.ASCII)
 
 
 def _over_cap(pile) -> PileCapError:
     return PileCapError(f"pile {pile} exceeds the hard cap {PILE_CAP}")
+
+
+def _fields(text: str) -> list:
+    """The pile fields of game text that ``_LIST_RE`` does not match whole.
+
+    Raises the text's :class:`ParseError`, or :class:`PileCapError` for a
+    field with more significant digits than ``PILE_CAP``; ``[]`` for the
+    empty game.
+    """
+    m = _GAME_RE.match(text)
+    if m is None:
+        raise ParseError(f"unbalanced brackets in game notation: {text!r}")
+    inner = m.group("inner")
+    if inner is None:
+        inner = m.group("bare") or ""
+    inner = inner.strip(_SPACE)
+    if not inner:
+        return []
+    fields = [field.strip(_SPACE) for field in inner.split(",")]
+    for field in fields:
+        if not _PILE_RE.fullmatch(field):
+            raise ParseError(f"bad pile size {field!r} in game notation {text!r}")
+    # int() takes at most 4,300 digits, leading zeros included, so a field
+    # goes to it without them, and one with more significant digits than
+    # PILE_CAP is over the cap before it is converted
+    fields = [field.lstrip("0") or "0" for field in fields]
+    for digits in fields:
+        if len(digits) > _CAP_DIGITS:
+            raise _over_cap(digits)
+    return fields
 
 
 class OutcomeClass(Enum):
@@ -116,34 +148,18 @@ class Game:
 
     @classmethod
     def parse(cls, text: str) -> "Game":
-        """Parse ``"[1,2,3]"`` or ``"1,2,3"`` (ASCII whitespace ignored)."""
-        m = _GAME_RE.match(text)
-        if m is None:
-            raise ParseError(f"unbalanced brackets in game notation: {text!r}")
-        inner = m.group("inner")
-        if inner is None:
-            inner = m.group("bare") or ""
-        inner = inner.strip(_SPACE)
-        if not inner:
-            return cls(())
-        fields = inner.split(",")
-        if not _PILES_RE.fullmatch(inner):
-            fields = [field.strip(_SPACE) for field in fields]
-            for field in fields:
-                if not _PILE_RE.fullmatch(field):
-                    raise ParseError(f"bad pile size {field!r} in game notation {text!r}")
-            # int() takes at most 4,300 digits, leading zeros included, so a
-            # field goes to it without them, and one with more significant
-            # digits than PILE_CAP is over the cap before it is converted
-            fields = [field.lstrip("0") or "0" for field in fields]
-            for digits in fields:
-                if len(digits) > _CAP_DIGITS:
-                    raise _over_cap(digits)
-        # int() skips the ASCII whitespace around each field.  Every pile is
-        # a nonnegative int, so only the cap is left to check; Game() raises
-        # its error, message and all.
-        piles = [int(field) for field in fields]
-        if max(piles) > PILE_CAP:
+        """Parse ``"[1,2,3]"`` or ``"1,2,3"`` (ASCII whitespace ignored).
+
+        Text that ``_LIST_RE`` matches whole is converted at once; any other
+        text, the empty game included, goes field by field through
+        :func:`_fields`, which names its error.
+        """
+        m = _LIST_RE.fullmatch(text)
+        # int() skips the ASCII whitespace around each field
+        piles = list(map(int, m.group(2).split(",") if m else _fields(text)))
+        # Every pile is a nonnegative int, so only the cap is left to check;
+        # Game() raises its error, message and all, at the first pile over it.
+        if max(piles, default=0) > PILE_CAP:
             return cls(piles)
         piles.sort(reverse=True)
         while piles and not piles[-1]:
@@ -232,40 +248,65 @@ class Ply:
         return f"{game[self.pile_index]}->{self.new_size}"
 
 
-# Shared plies, by (pile_index, new_size).  Capped, so that the moves of one
-# huge pile cannot grow it without limit; past the cap plies come fresh.
+# Shared plies, one row per pile index: row i holds Ply(i, 0), Ply(i, 1), ...,
+# so the plies that drop pile i below size p are the first p of its row.  A
+# row grows only when a longer one is asked for, and only if the whole of it
+# fits under _PLY_CAP plies over all rows, so the moves of one huge pile
+# cannot grow the table without limit; past the cap plies come fresh.
 _PLY_CAP = 1024
-_PLIES: dict = {}
+_PLY_ROWS: list = []
+
+
+def _ply_row(i: int, size: int) -> list:
+    """Row ``i`` of the shared plies, grown to ``size`` plies if they fit.
+
+    The row comes back shorter than ``size`` when the cap leaves no room
+    for the rest of it.
+    """
+    rows = _PLY_ROWS
+    if i < len(rows) and len(rows[i]) >= size:
+        return rows[i]
+    while len(rows) <= i:
+        rows.append([])
+    row = rows[i]
+    if sum(map(len, rows)) + size - len(row) <= _PLY_CAP:
+        row += [Ply(i, new) for new in range(len(row), size)]
+    return row
 
 
 def _plies_of(pairs) -> tuple[Ply, ...]:
     """The ``Ply`` of each ``(pile_index, new_size)`` pair, as a tuple.
 
-    The one factory for the plies that the engines and move generators
-    hand out.  A pair's ``Ply`` is built once and then shared from
-    ``_PLIES`` while it has room; a ``Ply`` is immutable, so a shared one
-    behaves exactly as a fresh one.
+    ``pairs`` is a list, such as the engines and :func:`winning_moves`
+    give.  A pair's ``Ply`` is built once and then shared from its row of
+    ``_PLY_ROWS`` while the table has room; a ``Ply`` is immutable, so a
+    shared one behaves exactly as a fresh one.
     """
-    get = _PLIES.get
-    return tuple([get(pair) or _new_ply(pair) for pair in pairs])
-
-
-def _new_ply(pair: tuple) -> Ply:
-    ply = Ply(*pair)
-    if len(_PLIES) < _PLY_CAP:
-        _PLIES[pair] = ply
-    return ply
+    rows = _PLY_ROWS
+    try:
+        return tuple([rows[i][new] for i, new in pairs])
+    except IndexError:
+        out = []
+        for i, new in pairs:
+            row = _ply_row(i, new + 1)
+            out.append(row[new] if new < len(row) else Ply(i, new))
+        return tuple(out)
 
 
 def loser_moves(game: Game) -> tuple[Ply, ...]:
     """Every legal ply, one per (pile, target size) pair.
 
     The loser is free to play anything.  The count always equals the candy
-    total, since pile ``p`` contributes plies to sizes ``0..p-1``.
+    total, since pile ``p`` contributes plies to sizes ``0..p-1``: the
+    first ``p`` of its row of shared plies.
     """
     if not game:
         raise NoMovesError("the empty game has no moves")
-    return _plies_of([(i, new) for i, p in enumerate(game.piles) for new in range(p)])
+    plies = []
+    for i, p in enumerate(game.piles):
+        row = _ply_row(i, p)
+        plies += row[:p] if len(row) >= p else row + [Ply(i, new) for new in range(len(row), p)]
+    return tuple(plies)
 
 
 def winning_moves(game: Game) -> tuple[Ply, ...]:

@@ -5,10 +5,12 @@ a native kernel over a flat table of packed 64-bit keys, and the
 pure-Python engine in :mod:`candynim.solver._python`.  Both implement
 the same recursion and the same tie-break, so every result is
 engine-independent; ``auto`` runs a game on the kernel whenever
-``_kernel.fits`` it.  Each engine answers three calls: ``solve_value``
-for a value, ``line`` for a principal line, and ``scores`` for the score
-of every candidate ply of a position, the one scoring call behind
-:meth:`Solver.best_plies`.
+``_kernel.fits`` it.  Each engine answers four calls: ``solve_value``
+for a value, ``line`` for a principal line, ``scores`` for the score of
+every candidate ply of a position, and ``best_plies`` for the plies of
+the best of those scores, the one call behind :meth:`Solver.best_plies`.
+The kernel picks those plies in C, scoring each under the floor that the
+value sets; the Python engine picks them from its ``scores``.
 
 The kernel, ``candynim.solver._kernel``, is the hand-written C extension
 ``_kernel.c``; building it needs a C compiler.  Where it was not built,
@@ -35,7 +37,6 @@ it checks the pruning too.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import sys
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ from ..errors import (
     InvariantError,
     PileCapError,
 )
-from ._python import PyEngine, _best_entry, _best_plies, _plies, _walk, oracle_entry
+from ._python import PyEngine, _best_entry, _plies, _walk, oracle_entry
 
 try:
     from . import _kernel
@@ -109,10 +110,22 @@ class SolveResult:
 
 
 def _solved(game: Game, line) -> SolveResult:
-    """Result for a game from its ``(value, plies)`` line."""
+    """Result for a game from its ``(value, plies)`` line.
+
+    Fills the instance's ``__dict__`` directly in place of the frozen
+    dataclass ``__init__``, which sets each field through
+    ``object.__setattr__``; the result is the same.
+    """
     value, plies = line
     n_loser, n_winner = _split(game.total, value)
-    return SolveResult(game, value, n_loser, n_winner, _plies_of(plies))
+    result = object.__new__(SolveResult)
+    fields = result.__dict__
+    fields["game"] = game
+    fields["value"] = value
+    fields["n_loser"] = n_loser
+    fields["n_winner"] = n_winner
+    fields["principal_line"] = _plies_of(plies)
+    return result
 
 
 def _with_room(total: int, fn, *args):
@@ -226,14 +239,11 @@ class Solver:
 
         For a zero nim-sum position these are the loser's best grabs; for
         anything else, the winner's cheapest winning plies.  Ordered by
-        ``(pile_index, new_size)``.  One engine call, ``scores``, scores
-        every candidate ply; the plies of the best score are kept.
+        ``(pile_index, new_size)``.  One engine call, ``best_plies``,
+        scores every candidate ply and keeps the plies of the best score.
         """
         self._check_caps(game)
-        if not game:
-            return ()
-        scores = self._run("scores", game)
-        return _plies_of(_best_plies(game.piles, scores))
+        return _plies_of(self._run("best_plies", game))
 
     def oracle_solve(self, game: Game) -> SolveResult:
         """Solve by memoless reference recursion (cross-check path).
@@ -266,7 +276,8 @@ class Solver:
         not every loser-to-move position a full scan would reach.  It skips
         the loser's plies by whole blocks, but searches exactly the plies a
         one-at-a-time scan would, so blocks do not change the counts; a
-        principal line stops scoring a ply once it falls short of the value.
+        principal line and ``best_plies`` stop scoring a ply once it falls
+        short of the value.
         """
         out = self._native.stats() if self._native is not None else []
         if self._py is not None:
@@ -276,6 +287,10 @@ class Solver:
     # -- parallel root split ---------------------------------------------
 
     def _solve_parallel(self, game: Game, workers: int) -> SolveResult:
+        # imported here, its only user, so that importing the package does
+        # not pay for it
+        import multiprocessing
+
         piles = game.piles
         g = game.grundy
         plies = list(_plies(piles, g))

@@ -26,10 +26,10 @@
      position: each reply position is built from it in one merge, with the
      loser's ply and the reply both applied, and the position between is
      never built.
-   - line() knows the value of each loser-to-move position it walks through,
-     so a ply is scored only up to the point that it cannot reach that
-     value: the winner's fold stops on the first reply that proves it
-     short.  scores() stays exact.
+   - line() and best_plies() know the value of each loser-to-move position
+     they score plies at, so a ply is scored only up to the point that it
+     cannot reach that value: the winner's fold stops on the first reply
+     that proves it short.  scores() stays exact.
 
    The table is one flat array per engine: 16-byte slots, linear probing
    over a power-of-two size, a splitmix64 hash.  It starts at MIN_SLOTS
@@ -553,13 +553,52 @@ fail:
     return NULL;
 }
 
-/* The score of every candidate ply, in the order of _python._plies: pile
-   index, then new size, ascending.  A ply scores the candies it takes plus
-   the child's value when the loser moves, minus it when the winner moves. */
+/* The one scoring loop: keep(acc, i, ns, score) sees every candidate ply
+   of arr, in the order of _python._plies: pile index, then new size,
+   ascending.  A ply scores the candies it takes plus the child's value when
+   the loser moves, minus it when the winner moves.  At a loser-to-move
+   position of known value target, each child's fold gets the floor
+   target - take - 1, as in best_ply, so a ply that cannot reach the value
+   gets a score below it, not its exact one; a target of FAIL scores every
+   ply exactly.  keep returns -1, with a Python error set, to stop. */
+static int score_plies(Engine *e, const int64_t *arr, int n, int64_t target,
+                       int (*keep)(void *acc, int i, int64_t ns, int64_t score), void *acc)
+{
+    int64_t buf[MAX_N];
+    int64_t g = nim_sum(arr, n), lo, hi;
+    for (int i = 0; i < n; i++) {
+        int64_t p = arr[i];
+        sizes(g, p, &lo, &hi);
+        for (int64_t ns = lo; ns < hi; ns++) {
+            int m = make_child(arr, n, i, ns, buf);
+            int64_t v = value_of(e, buf, m, target == FAIL ? FAIL : target - (p - ns) - 1);
+            if (v == FAIL || keep(acc, i, ns, p - ns + (g ? -v : v)) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+typedef struct {
+    PyObject *list;
+    Py_ssize_t k;
+} Scores;
+
+static int keep_score(void *acc, int Py_UNUSED(i), int64_t Py_UNUSED(ns), int64_t score)
+{
+    Scores *s = acc;
+    PyObject *item = PyLong_FromLongLong(score);
+    if (item == NULL)
+        return -1;
+    PyList_SET_ITEM(s->list, s->k++, item);
+    return 0;
+}
+
+/* The exact score of every candidate ply, in the order of _python._plies. */
 static PyObject *Engine_scores(PyObject *self, PyObject *piles)
 {
     Engine *e = ready(self);
-    int64_t arr[MAX_N], buf[MAX_N];
+    int64_t arr[MAX_N];
     int n = e ? load(piles, arr) : -1;
     if (n < 0)
         return NULL;
@@ -569,25 +608,65 @@ static PyObject *Engine_scores(PyObject *self, PyObject *piles)
         sizes(g, arr[i], &lo, &hi);
         count += hi - lo;
     }
-    PyObject *out = PyList_New(count);
-    if (out == NULL)
+    Scores acc = {PyList_New(count), 0};
+    if (acc.list == NULL)
         return NULL;
-    Py_ssize_t k = 0;
-    for (int i = 0; i < n; i++) {
-        int64_t p = arr[i];
-        sizes(g, p, &lo, &hi);
-        for (int64_t ns = lo; ns < hi; ns++) {
-            int m = make_child(arr, n, i, ns, buf);
-            int64_t v = value_of(e, buf, m, FAIL);
-            PyObject *score = v == FAIL ? NULL : PyLong_FromLongLong(p - ns + (g ? -v : v));
-            if (score == NULL) {
-                Py_DECREF(out);
-                return NULL;
-            }
-            PyList_SET_ITEM(out, k++, score);
-        }
+    if (score_plies(e, arr, n, FAIL, keep_score, &acc) < 0) {
+        Py_DECREF(acc.list);
+        return NULL;
     }
-    return out;
+    return acc.list;
+}
+
+typedef struct {
+    PyObject *list;
+    int64_t best;
+} Best;
+
+/* Keep the plies of the best score seen, dropping those kept for a lower
+   one. */
+static int keep_best(void *acc, int i, int64_t ns, int64_t score)
+{
+    Best *b = acc;
+    if (score < b->best)
+        return 0;
+    if (score > b->best) {
+        b->best = score;
+        if (PyList_SetSlice(b->list, 0, PY_SSIZE_T_MAX, NULL) < 0)
+            return -1;
+    }
+    PyObject *ply = Py_BuildValue("(iL)", i, (long long)ns);
+    if (ply == NULL || PyList_Append(b->list, ply) < 0) {
+        Py_XDECREF(ply);
+        return -1;
+    }
+    Py_DECREF(ply);
+    return 0;
+}
+
+/* The (pile_index, new_size) pairs of the best score among the candidate
+   plies, in the order of _python._plies.  At a loser-to-move position the
+   best score is the value, so plies are scored under its floor and only
+   those that reach it are kept. */
+static PyObject *Engine_best_plies(PyObject *self, PyObject *piles)
+{
+    Engine *e = ready(self);
+    int64_t arr[MAX_N];
+    int n = e ? load(piles, arr) : -1;
+    if (n < 0)
+        return NULL;
+    int64_t target = FAIL;
+    if (nim_sum(arr, n) == 0 && (target = value_of(e, arr, n, FAIL)) == FAIL)
+        return NULL;
+    /* a winner's best starts at FAIL, below every score */
+    Best acc = {PyList_New(0), target};
+    if (acc.list == NULL)
+        return NULL;
+    if (score_plies(e, arr, n, target, keep_best, &acc) < 0) {
+        Py_DECREF(acc.list);
+        return NULL;
+    }
+    return acc.list;
 }
 
 static PyObject *Engine_stats(PyObject *self, PyObject *Py_UNUSED(ignored))
@@ -629,6 +708,9 @@ static PyMethodDef Engine_methods[] = {
      "each against the canonical position it is played in."},
     {"scores", Engine_scores, METH_O,
      "The score of every candidate ply, in the order of _python._plies."},
+    {"best_plies", Engine_best_plies, METH_O,
+     "The (pile_index, new_size) pairs of the best score, in the order of "
+     "_python._plies."},
     {"stats", Engine_stats, METH_NOARGS,
      "One row per stored width w: entries, hits, misses, cap and engine "
      "\"native[w]\"."},

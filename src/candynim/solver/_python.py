@@ -93,9 +93,9 @@ class PyEngine:
     its value.  It raises :class:`MemoBudgetError` instead of growing
     past ``cap`` entries; ``hits`` and ``misses`` count the table probes
     of :meth:`_search`.  :meth:`scores` is the one call that scores every
-    candidate ply of a position, and :meth:`line` walks the principal ply
-    that :func:`_best_entry` picks from those scores down to the empty
-    game.
+    candidate ply of a position; :meth:`best_plies` keeps the plies of the
+    best score, and :meth:`line` walks the principal ply that
+    :func:`_best_entry` picks from those scores down to the empty game.
     """
 
     name = "python"
@@ -167,6 +167,10 @@ class PyEngine:
             piles[i] - new + sign * self.solve_value(_child(piles, i, new))
             for i, new in _plies(piles, g)
         ]
+
+    def best_plies(self, piles: tuple) -> list:
+        """The plies of the best score, as :func:`_best_plies` picks them; ``[]`` for ``()``."""
+        return _best_plies(piles, self.scores(piles)) if piles else []
 
     def line(self, piles: tuple) -> tuple:
         """``(value, plies)`` of the principal line; ``(0, [])`` for ``()``."""

@@ -3,11 +3,19 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import candynim
 from candynim.cli import CliConfig, build_parser, dispatch, main
+
+# the directory the imported package lives in: src in a checkout
+PACKAGE_ROOT = str(Path(candynim.__file__).resolve().parent.parent)
 
 
 def run(argv, stdin=None, monkeypatch=None):
@@ -266,3 +274,23 @@ def test_parser_covers_all_subcommands():
 
 def test_main_returns_int():
     assert main(["classify", "[1,2,3]"]) == 0
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the package under test."""
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python("-m", "candynim", "solve", "[1,5,16,20]")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(["solve", "[1,5,16,20]"])[1]
+    assert _python("-m", "candynim", "solve", "[1,2").returncode == 2
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only Solver.solve(workers > 1) needs it, and imports it itself
+    proc = _python("-c", "import sys, candynim.cli; print('multiprocessing' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

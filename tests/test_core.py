@@ -2,6 +2,8 @@
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import candynim
 from candynim import core
@@ -96,6 +98,47 @@ def test_parse_puts_a_long_field_over_the_cap_before_converting_it():
         Game.parse(f"[{nines}, x]")
 
 
+# every ASCII whitespace character, the only whitespace game text takes
+_ascii_blank = st.text(alphabet=" \t\n\r\f\v", max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=PILE_CAP) | st.integers(0, 40), max_size=8),
+    st.data(),
+)
+def test_parse_of_valid_fields_is_game_of_their_ints(piles, data):
+    # fields up to the cap's ten digits, some with leading zeros past them
+    fields = [data.draw(st.sampled_from(["", "0", "000"])) + str(p) for p in piles]
+    body = ",".join(data.draw(_ascii_blank) + f + data.draw(_ascii_blank) for f in fields)
+    if data.draw(st.booleans()) or not fields:
+        body = "[" + data.draw(_ascii_blank) + body + data.draw(_ascii_blank) + "]"
+    text = data.draw(_ascii_blank) + body + data.draw(_ascii_blank)
+    assert Game.parse(text) == Game(piles)
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("1_0", ParseError, "bad pile size '1_0' in game notation '1_0'"),
+        ("+5", ParseError, "bad pile size '+5' in game notation '+5'"),
+        ("\u0661", ParseError, "bad pile size '\u0661' in game notation '\u0661'"),
+        ("1,\xa02", ParseError, "bad pile size '\\xa02' in game notation '1,\\xa02'"),
+        ("1,,2", ParseError, "bad pile size '' in game notation '1,,2'"),
+        ("[1,2", ParseError, "unbalanced brackets in game notation: '[1,2'"),
+        ("[12345678901]", PileCapError, "pile 12345678901 exceeds the hard cap 4294967295"),
+        ("4294967296", PileCapError, "pile 4294967296 exceeds the hard cap 4294967295"),
+        # the first pile over the cap in input order, not the largest
+        ("[3, 4294967296, 5, 9999999999]", PileCapError,
+         "pile 4294967296 exceeds the hard cap 4294967295"),
+    ],
+)
+def test_parse_rejects_each_input_with_its_pinned_error(text, error, message):
+    with pytest.raises(error) as raised:
+        Game.parse(text)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 def test_str_is_canonical_bracketed():
     assert str(Game([1, 3, 2])) == "[3,2,1]"
     assert str(Game([])) == "[]"
@@ -156,7 +199,7 @@ def test_shared_plies_behave_as_fresh_ones():
 
 def test_ply_table_stays_within_its_cap():
     plies = loser_moves(Game([10_000]))
-    assert len(core._PLIES) <= core._PLY_CAP
+    assert sum(map(len, core._PLY_ROWS)) <= core._PLY_CAP
     assert plies == tuple(Ply(0, new) for new in range(10_000))
 
 

@@ -13,6 +13,7 @@ from candynim.cli import dispatch
 from candynim.core import Game, Ply, loser_moves, nim_sum, winning_moves
 from candynim.errors import BudgetError, EngineError, MemoBudgetError, PileCapError
 from candynim.solver import (
+    DEFAULT_MEMO_CAP,
     DEFAULT_ORACLE_CAP,
     SolveResult,
     Solver,
@@ -213,11 +214,12 @@ def test_native_memo_cap_matches_the_python_engine():
     with pytest.raises(MemoBudgetError) as native:
         Solver(memo_cap=2, engine="native").solve(g)
     assert str(native.value) == str(plain.value)
-    with pytest.raises(MemoBudgetError) as plain:
-        Solver(memo_cap=2, engine="python").best_plies(g)
-    with pytest.raises(MemoBudgetError) as native:
-        Solver(memo_cap=2, engine="native").best_plies(g)
-    assert str(native.value) == str(plain.value)
+    for h in (g, Game([7, 6, 5])):  # best_plies at a P and at an N position
+        with pytest.raises(MemoBudgetError) as plain:
+            Solver(memo_cap=2, engine="python").best_plies(h)
+        with pytest.raises(MemoBudgetError) as native:
+            Solver(memo_cap=2, engine="native").best_plies(h)
+        assert str(native.value) == str(plain.value)
     out = io.StringIO()
     assert dispatch(["solve", "[4,5,6,7]", "--engine", "native", "--memo-cap", "2"], out=out) == 3
 
@@ -238,8 +240,34 @@ def test_native_scores_rejects_what_line_rejects(piles, message):
     with pytest.raises(EngineError, match=message) as scores:
         eng.scores(piles)
     assert str(scores.value) == str(line.value)
+    with pytest.raises(EngineError, match=message) as best:
+        eng.best_plies(piles)
+    assert str(best.value) == str(line.value)
     assert not solver_mod._kernel.fits(piles)
     assert eng.scores(()) == PyEngine(1).scores(()) == []
+    assert eng.best_plies(()) == PyEngine(1).best_plies(()) == []
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_native_best_plies_matches_python_on_every_small_position():
+    # every P and N position of at most 6 piles of at most 12 and at most 40
+    # candies, so every one of at most 5 piles of at most 8; the kernel
+    # fills its table from these calls alone.  The wider piles are needed: a
+    # floor one off in the kernel's best_plies agrees on every position of
+    # piles of at most 8.
+    eng = solver_mod._kernel.NativeEngine(DEFAULT_MEMO_CAP)
+    py = PyEngine(DEFAULT_MEMO_CAP)
+    games = [
+        c[::-1]
+        for r in range(1, 7)
+        for c in combinations_with_replacement(range(1, 13), r)
+        if sum(c) <= 40
+    ]
+    assert len(games) == 12233
+    assert sum(nim_sum(piles) == 0 for piles in games) > 100
+    for piles in games:
+        assert eng.best_plies(piles) == py.best_plies(piles), piles
+    assert Solver(engine="native").best_plies(Game([])) == ()
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
