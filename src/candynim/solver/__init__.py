@@ -29,7 +29,13 @@ candy, and a loser's ply whose bound from that fact cannot beat the best
 ply found is never searched.  It bounds whole aligned blocks of such plies
 at once, skipping the same plies with fewer checks, and builds each of the
 winner's reply positions in one step from the position before the loser's
-ply.  A principal line drops a ply on the first reply that proves it
+ply.  At 3 piles, the width of the paper's families, that step is a sort
+of three numbers: the loser's new size, the reply's target and the pile
+neither touched.  Their nim-sum is zero, so if one of the first two is
+zero the other two are an equal pair and the reply leaves the empty
+game; otherwise they are three distinct piles, with no pair to drop.  The
+3-pile path changes what a searched ply costs, never which plies are
+searched.  A principal line drops a ply on the first reply that proves it
 short of the value already known.  The Python engine scans every ply, so
 it checks the pruning too.
 """

@@ -26,6 +26,15 @@
      position: each reply position is built from it in one merge, with the
      loser's ply and the reply both applied, and the position between is
      never built.
+   - 3 piles, the paper's width and about half of what a cold search
+     stores, take a path of their own that changes what a ply costs, never
+     which plies are searched: a reply position is a sort of the triple
+     (the loser's new size, the reply's target, the untouched pile) in
+     place of the merge, pack shifts by constants, and block_bound reads
+     the two other piles with no loop.  The triple is exact because its
+     nim-sum is zero: if it holds a zero, the other two are equal and the
+     pair leaves the empty game, worth 0; otherwise its piles are distinct
+     and positive, already stripped.  Other widths keep the general code.
    - line() and best_plies() know the value of each loser-to-move position
      they score plies at, so a ply is scored only up to the point that it
      cannot reach that value: the winner's fold stops on the first reply
@@ -146,9 +155,14 @@ static int64_t nim_sum(const int64_t *arr, int n)
 }
 
 /* arr packed into slots fields of 62 / slots bits, missing piles as zeros.
-   Packed keys of one slot count order like canonical tuples. */
+   Packed keys of one slot count order like canonical tuples.  A full
+   3-pile key, the paper's width and about half of a cold table, is packed
+   with constant shifts into the same 20-bit fields. */
 static uint64_t pack(const int64_t *arr, int n, int slots)
 {
+    if (n == 3 && slots == 3)
+        return (uint64_t)arr[0] << 2 * (KEY_BITS / 3) | (uint64_t)arr[1] << KEY_BITS / 3 |
+               (uint64_t)arr[2];
     int bits = FIELD_BITS[slots];
     uint64_t key = 0;
     for (int j = 0; j < slots; j++) {
@@ -201,6 +215,13 @@ static int grow(Engine *e)
 static int64_t n_value(Engine *e, const int64_t *arr, int n, int i, int64_t ns, int64_t g,
                        int64_t floor, int turns);
 
+/* The least reply on a pile of a candies over an aligned block of the
+   loser's plies, as block_bound below sets out. */
+static int64_t least_reply(int64_t a, int64_t g, int64_t low)
+{
+    return (a & ~low) - ((a ^ g) & ~low) - (~a & low);
+}
+
 /* An upper bound, with no probe, on the score of every loser's ply that
    drops pile i to a size in one aligned block at a stripped loser-to-move
    position of total tot.  The block holds the 2^k sizes that agree with
@@ -217,16 +238,23 @@ static int64_t n_value(Engine *e, const int64_t *arr, int n, int i, int64_t ns, 
    of these.  The new pile has no reply, its restoring size being arr[i],
    so the replies are on the other piles; the child's nim-sum is nonzero,
    so one of them has one.  With low 0 the block is one ply, and the bound
-   is that ply's. */
+   is that ply's.  At 3 piles the two other piles are read directly, with
+   no loop. */
 static int64_t block_bound(const int64_t *arr, int n, int64_t tot, int i, int64_t g,
                            int64_t low)
 {
     int64_t most = 0;
-    for (int j = 0; j < n; j++) {
-        int64_t a = arr[j];
-        int64_t reply = (a & ~low) - ((a ^ g) & ~low) - (~a & low);
-        if (j != i && reply > most)
-            most = reply;
+    if (n == 3) {
+        int64_t r = least_reply(arr[i == 0], g, low);
+        int64_t s = least_reply(arr[2 - (i == 2)], g, low);
+        most = r > most ? r : most;
+        most = s > most ? s : most;
+    } else {
+        for (int j = 0; j < n; j++) {
+            int64_t reply = least_reply(arr[j], g, low);
+            if (j != i && reply > most)
+                most = reply;
+        }
     }
     return tot - 2 - 2 * most;
 }
@@ -298,16 +326,35 @@ static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
     return best;
 }
 
+/* The stripped reply position (x, y, z) of a 3-pile loser-to-move
+   position, descending in out: x the loser's new size, y the winner's
+   target and z the pile neither touched.  Their nim-sum is zero, so if one
+   of x and y is zero the other equals z, and the pair leaves the empty
+   game; otherwise no two are equal, as that would make the third zero, and
+   the triple is three distinct positive piles. */
+static int triple(int64_t x, int64_t y, int64_t z, int64_t *out)
+{
+    if (!x || !y)
+        return 0;
+    int64_t hi = x > y ? x : y, lo = x > y ? y : x;
+    out[0] = hi > z ? hi : z;
+    out[1] = hi < z ? hi : lo > z ? lo : z;
+    out[2] = lo < z ? lo : z;
+    return 3;
+}
+
 /* Value of the winner-to-move position that the loser's ply dropping pile
    i to ns leaves at the stripped position arr, or of arr itself when i is
    -1 (and ns 0); g is that position's nonzero nim-sum.  Each reply position
    is built from arr in one merge, so the position between is never built:
    the reply on pile j leaves arr less arr[i] and arr[j], plus ns and the
-   target, with zeros and equal pairs dropped.  Pile i has no reply, as its
-   restoring size is arr[i]; nor has a pile equal to ns, as it would restore
-   the same.  The fold over the replies stops once one scores at most floor
-   and returns that score, an upper bound on the value; a floor of FAIL asks
-   for the exact value.  turns is the budget of the searches below. */
+   target, with zeros and equal pairs dropped.  At 3 piles that is a sort of
+   the triple of ns, the target and the third pile, 3 - i - j.  Pile i has
+   no reply, as its restoring size is arr[i]; nor has a pile equal to ns, as
+   it would restore the same.  The fold over the replies stops once one
+   scores at most floor and returns that score, an upper bound on the value;
+   a floor of FAIL asks for the exact value.  turns is the budget of the
+   searches below. */
 static int64_t n_value(Engine *e, const int64_t *arr, int n, int i, int64_t ns, int64_t g,
                        int64_t floor, int turns)
 {
@@ -317,8 +364,9 @@ static int64_t n_value(Engine *e, const int64_t *arr, int n, int i, int64_t ns, 
         int64_t target = g ^ arr[j];
         if (j == i || target >= arr[j])
             continue;
-        int m = ns > target ? merge(arr, n, i, j, ns, target, 1, buf)
-                            : merge(arr, n, i, j, target, ns, 1, buf);
+        int m = n == 3 && i >= 0 ? triple(ns, target, arr[3 - i - j], buf)
+                : ns > target    ? merge(arr, n, i, j, ns, target, 1, buf)
+                                 : merge(arr, n, i, j, target, ns, 1, buf);
         int64_t v = m ? search(e, buf, m, turns) : 0;
         if (v == FAIL)
             return FAIL;

@@ -9,7 +9,10 @@ must also compile as strict C11 at ``-O3``, ``-Wall -Wextra -Wpedantic``
 with every warning an error, so a warning in new kernel code fails here
 instead of scrolling past in the build log.  A build under the undefined
 behaviour sanitizer runs the solver tests too, so a signed shift or
-overflow in the search aborts them.
+overflow in the search aborts them, and so does a build under the address
+sanitizer, so a write past one of the search's fixed-size stack arrays
+aborts them too; the undefined behaviour sanitizer sees such a write only
+where the compiler knows the array's size at the store.
 """
 
 import os
@@ -46,11 +49,17 @@ def _build(out: Path, **env: str) -> Path:
     return out / "lib"
 
 
-def _run(lib: Path, *args: str) -> subprocess.CompletedProcess:
+def _run(lib: Path, *args: str, **env: str) -> subprocess.CompletedProcess:
     """Run the interpreter on the built package only, from the checkout root."""
-    env = {**os.environ, "PYTHONPATH": str(lib)}
+    env = {**os.environ, "PYTHONPATH": str(lib), **env}
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=TIMEOUT_S)
+
+
+def _assert_passed(tests: subprocess.CompletedProcess) -> None:
+    summary = tests.stdout.strip().splitlines()[-1]
+    assert tests.returncode == 0, tests.stdout + tests.stderr
+    assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary
 
 
 def _kernels(lib: Path) -> list:
@@ -75,33 +84,58 @@ def test_built_kernel_passes_the_solver_tests(tmp_path):
     tests = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                  "tests/test_solver.py",
                  "tests/test_harness.py::test_extended_report_bytes_are_pinned")
-    summary = tests.stdout.strip().splitlines()[-1]
-    assert tests.returncode == 0, tests.stdout + tests.stderr
-    assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary
+    _assert_passed(tests)
 
+
+# a sanitizer reports on file descriptor 2 and exits; capturing only sys.stderr
+# leaves that report in the failure message instead of in pytest's capture
+SANITIZED_TESTS = ("--capture=sys", "tests/test_solver.py")
 
 # Python's own CFLAGS carry -fwrapv, which turns the signed-overflow check
 # off; -fno-wrapv after them turns it back on
 UBSAN = "-fsanitize=undefined -fno-sanitize-recover=undefined"
 
 
-def _links_ubsan(tmp: Path) -> bool:
+def _links(tmp: Path, flags: str) -> bool:
     src = tmp / "probe.c"
     src.write_text("int probe(int x) { return x << 1; }\n")
-    cmd = [*_cc(), *UBSAN.split(), "-shared", "-fPIC", "-o", str(tmp / "probe.so"), str(src)]
+    cmd = [*_cc(), *flags.split(), "-shared", "-fPIC", "-o", str(tmp / "probe.so"), str(src)]
     return subprocess.run(cmd, capture_output=True, timeout=TIMEOUT_S).returncode == 0
 
 
 @pytest.mark.skipif(not _cc_found(), reason="no C compiler")
 def test_kernel_under_the_undefined_behaviour_sanitizer(tmp_path):
-    if not _links_ubsan(tmp_path):
+    if not _links(tmp_path, UBSAN):
         pytest.skip("the C compiler cannot link the undefined behaviour sanitizer")
     lib = _build(tmp_path, CFLAGS=f"{UBSAN} -fno-wrapv", LDFLAGS="-fsanitize=undefined")
     assert _kernels(lib), "setup.py built no _kernel*.so"
-    tests = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_solver.py")
-    summary = tests.stdout.strip().splitlines()[-1]
-    assert tests.returncode == 0, tests.stdout + tests.stderr
-    assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary
+    tests = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider", *SANITIZED_TESTS)
+    _assert_passed(tests)
+
+
+ASAN = "-fsanitize=address -fno-omit-frame-pointer"
+
+
+def _libasan() -> str:
+    """The compiler's address sanitizer runtime, or "" where it names none."""
+    proc = subprocess.run([*_cc(), "-print-file-name=libasan.so"], capture_output=True,
+                          text=True, timeout=TIMEOUT_S)
+    path = Path(proc.stdout.strip())
+    return str(path) if proc.returncode == 0 and path.is_absolute() and path.exists() else ""
+
+
+@pytest.mark.skipif(not _cc_found(), reason="no C compiler")
+def test_kernel_under_the_address_sanitizer(tmp_path):
+    # the interpreter is not built with the sanitizer, so its runtime must be
+    # loaded first; leak checks would report the interpreter's own memory
+    runtime = _libasan()
+    if not runtime or not _links(tmp_path, ASAN):
+        pytest.skip("the C compiler cannot link the address sanitizer")
+    lib = _build(tmp_path, CFLAGS=ASAN, LDFLAGS="-fsanitize=address")
+    assert _kernels(lib), "setup.py built no _kernel*.so"
+    tests = _run(lib, "-m", "pytest", "-q", "-p", "no:cacheprovider", *SANITIZED_TESTS,
+                 LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+    _assert_passed(tests)
 
 
 @pytest.mark.skipif(not _cc_found(), reason="no C compiler")

@@ -317,6 +317,34 @@ def test_native_stats_rows_split_one_table_by_width():
     assert sum(row["misses"] for row in rows) == len(s._native)
 
 
+# (width, entries, hits, misses) per stats() row after one value() on a
+# fresh kernel: a change to the cost of a searched ply must leave the
+# search itself, which plies it searches and in what order, as it is
+SEARCH_COUNTS = [
+    ([968, 600, 400], [(3, 67105, 6631146, 67105)]),
+    ([31, 42, 53], [(3, 331, 7874, 331)]),
+    ([1, 5, 16, 20], [(3, 30, 322, 30), (4, 23, 141, 23)]),
+    (
+        [20, 18, 12, 9, 7, 4],
+        [(3, 44, 5694, 44), (4, 141, 10354, 141), (5, 197, 3832, 197), (6, 287, 4316, 287)],
+    ),
+    (
+        [13, 11, 9, 7, 5, 3, 2],
+        [(3, 20, 999, 20), (4, 32, 815, 32), (5, 29, 87, 29), (6, 12, 45, 12), (7, 10, 65, 10)],
+    ),
+]
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+@pytest.mark.parametrize("piles,rows", SEARCH_COUNTS)
+def test_native_search_counts_are_pinned(piles, rows):
+    s = Solver(engine="native")
+    s.value(Game(piles))
+    got = [(int(row["engine"][7:-1]), row["entries"], row["hits"], row["misses"])
+           for row in s.stats()]
+    assert got == rows
+
+
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
 def test_auto_engine_falls_back_when_unpackable():
     # 33 piles cannot pack into the native key; auto must still answer
