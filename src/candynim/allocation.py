@@ -201,32 +201,47 @@ def _rank(r: AllocationResult) -> tuple:
     return (r.construction != "five-pile-template", r.game.piles)
 
 
+# Nodes the partition search may visit before it gives up with BudgetError.
+_PARTITION_BUDGET = 2_000_000
+
+
 def _partitions(total: int, max_piles: int, max_pile: int) -> Iterator[tuple[int, ...]]:
-    """Descending pile tuples with the given sum, grundy 0, within caps."""
-    budget = 2_000_000
+    """Descending pile tuples with the given sum, grundy 0, within caps.
+
+    A depth-first search over an explicit stack that yields in the order
+    of the tuples' descending first pile, then second, and so on.  A node
+    holds the candies still to place, the cap on the next pile, the piles
+    left, the piles so far and their nim-sum; its children, the next pile
+    sizes, are pushed smallest first, so the largest is searched first.
+
+    The piles still to come must cancel the running nim-sum, and a child
+    is pushed only if they can: their nim-sum is at most their sum, needs
+    no more bits than the child's pile, under which they all stay, and has
+    their sum's parity.  That parity test never changes down a path, so it
+    is made once, on ``total``.
+    """
+    if total % 2:
+        return
+    stack = [(total, max_pile, max_piles, (), 0)]
     seen = 0
-
-    def rec(remaining: int, cap: int, room: int, acc: tuple, xor: int):
-        nonlocal seen
+    while stack:
+        remaining, cap, room, acc, xor = stack.pop()
         seen += 1
-        if seen > budget:
+        if seen > _PARTITION_BUDGET:
             raise BudgetError(
-                f"partition search for total {total} passed {budget} nodes"
+                f"partition search for total {total} passed {_PARTITION_BUDGET} nodes"
             )
-        if remaining == 0:
-            if xor == 0 and acc:
+        if not remaining:
+            if acc:
                 yield acc
-            return
-        if room == 0:
-            return
-        top = min(cap, remaining)
+            continue
+        if room <= 0:
+            continue
         # the largest remaining pile must cover an even share
-        for size in range(top, 0, -1):
-            if size * room < remaining:
-                break
-            yield from rec(remaining - size, size, room - 1, acc + (size,), xor ^ size)
-
-    yield from rec(total, max_pile, max_piles, (), 0)
+        for size in range(max(1, -(-remaining // room)), min(cap, remaining) + 1):
+            rest, rest_xor = remaining - size, xor ^ size
+            if rest_xor <= rest and rest_xor.bit_length() <= size.bit_length():
+                stack.append((rest, size, room - 1, acc + (size,), rest_xor))
 
 
 def exhaustive_min_winner(

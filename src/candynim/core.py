@@ -121,6 +121,16 @@ def _child(piles: tuple, i: int, new: int) -> tuple:
     return piles[:i] + piles[i + 1 : j] + (new,) + piles[j:]
 
 
+def _check_pile(p) -> None:
+    """Raise the error of a pile size ``Game()`` does not take."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ParseError(f"pile sizes must be integers, got {p!r}")
+    if p < 0:
+        raise ParseError(f"pile sizes must be nonnegative, got {p}")
+    if p > PILE_CAP:
+        raise _over_cap(p)
+
+
 @dataclass(frozen=True, order=True)
 class Game:
     """A multiset of pile sizes in canonical form.
@@ -135,16 +145,14 @@ class Game:
     def __init__(self, piles: Iterable[int] = ()):
         cleaned = []
         for p in piles:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise ParseError(f"pile sizes must be integers, got {p!r}")
-            if p < 0:
-                raise ParseError(f"pile sizes must be nonnegative, got {p}")
-            if p > PILE_CAP:
-                raise _over_cap(p)
+            # a plain int within the cap passes at one test; any other pile
+            # takes the full checks, which raise its error or let it through
+            if type(p) is not int or not 0 <= p <= PILE_CAP:
+                _check_pile(p)
             if p:
                 cleaned.append(p)
         cleaned.sort(reverse=True)
-        object.__setattr__(self, "piles", tuple(cleaned))
+        self.__dict__["piles"] = tuple(cleaned)
 
     @classmethod
     def parse(cls, text: str) -> "Game":
@@ -215,18 +223,26 @@ class Game:
     def _canonical(cls, piles: tuple[int, ...]) -> "Game":
         """Wrap a tuple that is already canonical and validated, unchecked."""
         game = object.__new__(cls)
-        object.__setattr__(game, "piles", piles)
+        game.__dict__["piles"] = piles
         return game
 
     def apply(self, ply: "Ply") -> "Game":
         """The position after ``ply``, back in canonical form.
 
         A linear edit of the canonical tuple through :func:`_child`.  A
-        falsy ``new_size`` drops the pile; any other ``new_size`` that is
-        not a plain ``int`` goes through ``Game()``, which validates it.
+        ply of plain ``int`` fields that :meth:`_old_size` would pass takes
+        it at once.  Any other ply goes through :meth:`_old_size`, which
+        raises its error; then a falsy ``new_size`` drops the pile, and any
+        other ``new_size`` that is not a plain ``int`` goes through
+        ``Game()``, which validates it.
         """
-        self._old_size(ply)
         piles, i, new = self.piles, ply.pile_index, ply.new_size
+        if type(i) is int and type(new) is int and 0 <= i < len(piles) and 0 <= new < piles[i]:
+            # _canonical inline: a sweep applies tens of thousands of plies
+            game = object.__new__(Game)
+            game.__dict__["piles"] = _child(piles, i, new)
+            return game
+        self._old_size(ply)
         if new and type(new) is not int:
             return Game(piles[:i] + piles[i + 1 :] + (new,))
         return Game._canonical(_child(piles, i, new))
@@ -316,10 +332,13 @@ def winning_moves(game: Game) -> tuple[Ply, ...]:
     ``grundy ^ pile`` is forced, and it is a reduction only when the pile
     contains the leading bit of the nim-sum.
     """
-    g = game.grundy
-    if g == 0:
+    piles = game.piles
+    g = 0
+    for p in piles:
+        g ^= p
+    if not g:
         return ()
-    return _plies_of([(i, g ^ p) for i, p in enumerate(game.piles) if g ^ p < p])
+    return _plies_of([(i, g ^ p) for i, p in enumerate(piles) if g ^ p < p])
 
 
 def unique_response(game: Game, ply: Ply) -> Ply:
@@ -337,9 +356,9 @@ def unique_response(game: Game, ply: Ply) -> Ply:
         FamilyError: if ``game`` has more than three piles or is not P.
         InvariantError: if the reply is not unique (believed impossible).
     """
-    if len(game) > 3:
+    if len(game.piles) > 3:
         raise FamilyError(f"unique replies are only guaranteed for <=3 piles, got {game}")
-    if game.grundy != 0:
+    if nim_sum(game.piles):
         raise FamilyError(f"{game} is not a P position")
     after = game.apply(ply)
     replies = winning_moves(after)
@@ -364,15 +383,15 @@ class Turn:
     after_winner: Game
 
     def __post_init__(self):
-        if not self.before:
+        if not self.before.piles:
             raise IllegalMoveError("a turn cannot start from the empty game")
-        if self.before.outcome is not OutcomeClass.P:
+        if nim_sum(self.before.piles):
             raise IllegalMoveError(f"turns start from P positions, got {self.before}")
-        if self.after_loser.outcome is not OutcomeClass.N:
+        if not nim_sum(self.after_loser.piles):
             raise IllegalMoveError(
                 f"the loser cannot reach {self.after_loser} from {self.before}"
             )
-        if self.after_winner.outcome is not OutcomeClass.P:
+        if nim_sum(self.after_winner.piles):
             raise IllegalMoveError(
                 f"the winner must restore a P position, got {self.after_winner}"
             )

@@ -51,12 +51,13 @@ from .core import (
     Turn,
     _pile_change,
     g_family_realize,
+    loser_moves,
     semiratio,
     unique_response,
     winning_moves,
     xor_adjacent,
 )
-from .errors import ParseError, UnknownClaimError
+from .errors import InvariantError, ParseError, UnknownClaimError
 from .solver import Solver, _default_solver, _n_winner
 from .strategies import (
     StrategyTrace,
@@ -111,22 +112,34 @@ class ClaimReport:
 class _Tally:
     """What one claim run found: instances checked, failures, params, notes.
 
-    Each claim gets a fresh tally and returns it.  :meth:`check` counts
-    one instance and, when it does not hold, keeps a compact JSON record
-    of it, enough to replay it by hand.  :meth:`outcome` sets the params
-    and notes and closes the run.
+    Each claim gets a fresh tally and returns it.  :meth:`holds` counts
+    one instance.  An instance that does not hold is then recorded by
+    :meth:`fail` as a compact JSON record, enough to replay it by hand, so
+    an instance that holds costs a counter bump and no record.
+    :meth:`outcome` sets the params and notes and closes the run; it
+    raises if a failed instance went unrecorded.
     """
 
     def __init__(self):
         self.instances = 0
+        self.failed = 0
         self.failures: list[str] = []
 
-    def check(self, holds: bool, **failure) -> None:
+    def holds(self, ok: bool) -> bool:
+        """Count one instance; ``ok`` back, for the caller to :meth:`fail` on."""
         self.instances += 1
-        if not holds:
-            self.failures.append(json_line(failure))
+        if not ok:
+            self.failed += 1
+        return ok
+
+    def fail(self, **record) -> None:
+        self.failures.append(json_line(record))
 
     def outcome(self, params: str, notes: str = "") -> _Tally:
+        if self.failed != len(self.failures):
+            raise InvariantError(
+                f"{self.failed} failed instances but {len(self.failures)} records"
+            )
         self.params = params
         self.notes = notes
         return self
@@ -192,7 +205,8 @@ def _c_value_nonneg(profile: str, solver: Solver, t: _Tally) -> _Tally:
     params, games = _p_sweep(profile)
     for g in games:
         v = solver.value(g)
-        t.check(v >= 0, game=g.piles, value=v)
+        if not t.holds(v >= 0):
+            t.fail(game=g.piles, value=v)
     return t.outcome(params)
 
 
@@ -205,10 +219,11 @@ def _c_odd_winning(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for r in range(1, 6):
         for piles in combinations_with_replacement(range(1, cap + 1), r):
             g = Game(piles)
-            if g.outcome is OutcomeClass.P:
+            if not g.grundy:
                 continue
             moves = winning_moves(g)
-            t.check(len(moves) % 2 == 1, game=g.piles, winning=len(moves))
+            if not t.holds(len(moves) % 2 == 1):
+                t.fail(game=g.piles, winning=len(moves))
     return t.outcome(f"all N positions, <=5 piles, piles<={cap}")
 
 
@@ -224,11 +239,11 @@ def _c_unique_reply(profile: str, solver: Solver, t: _Tally) -> _Tally:
             if not 1 <= c <= b:
                 continue
             g = Game([a, b, c])
-            for i in range(len(g)):
-                for new in range(g[i]):
-                    replies = winning_moves(g.apply(Ply(i, new)))
-                    t.check(
-                        len(replies) == 1, game=g.piles, pile=i, to=new, replies=len(replies)
+            for ply in loser_moves(g):
+                replies = winning_moves(g.apply(ply))
+                if not t.holds(len(replies) == 1):
+                    t.fail(
+                        game=g.piles, pile=ply.pile_index, to=ply.new_size, replies=len(replies)
                     )
     return t.outcome(f"3-pile P positions, piles<={cap}, every ply")
 
@@ -246,13 +261,14 @@ def _c_semiratio(profile: str, solver: Solver, t: _Tally) -> _Tally:
                 g = g_family_realize(a, m, x)
                 if not g:
                     continue
-                for i in range(len(g)):
-                    for new in range(g[i]):
-                        ply = Ply(i, new)
-                        child = g.apply(ply)
-                        reply = unique_response(g, ply)
-                        ratio = semiratio(Turn(g, child, child.apply(reply)))
-                        t.check(ratio <= bound, game=g.piles, pile=i, to=new, ratio=str(ratio))
+                for ply in loser_moves(g):
+                    child = g.apply(ply)
+                    reply = unique_response(g, ply)
+                    ratio = semiratio(Turn(g, child, child.apply(reply)))
+                    # ratio <= bound, without Fraction's comparison; the
+                    # record writes the Fraction through json_line's str
+                    if not t.holds(ratio.numerator <= bound * ratio.denominator):
+                        t.fail(game=g.piles, pile=ply.pile_index, to=ply.new_size, ratio=ratio)
     return t.outcome(f"every turn of the family, a<={amax}, 0<=m<={mmax}, all x")
 
 
@@ -260,7 +276,8 @@ def _c_semiratio(profile: str, solver: Solver, t: _Tally) -> _Tally:
 def _c_small_family(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for m in range(1, 33):
         v = solver.value(Game([1, 2 * m, 2 * m + 1]))
-        t.check(v == 2 * m, m=m, value=v, expected=2 * m)
+        if not t.holds(v == 2 * m):
+            t.fail(m=m, value=v, expected=2 * m)
     return t.outcome("1<=m<=32")
 
 
@@ -276,7 +293,8 @@ def _c_flip_flop_value(profile: str, solver: Solver, t: _Tally) -> _Tally:
             g = g_family_realize(2**j - 1, m, 0)
             sim = simulate(flip_flop_policy, g).strategic_value
             stated = (m - 1) * (2 ** (j + 1) - 2)
-            t.check(sim == stated, j=j, m=m, simulated=sim, stated=stated)
+            if not t.holds(sim == stated):
+                t.fail(j=j, m=m, simulated=sim, stated=stated)
     return t.outcome(
         f"families 2^j-1, j<={jmax}, m<={mmax}",
         "simulation yields one full turn per unit of m, m*(2^(j+1)-2); at j=1 "
@@ -294,7 +312,8 @@ def _c_family31(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for m in range(1, mmax + 1):
         v = solver.value(Game([31, 32 * m, 32 * m + 31]))
         expected = 62 * (m - 1) + 98
-        t.check(v == expected, m=m, value=v, expected=expected)
+        if not t.holds(v == expected):
+            t.fail(m=m, value=v, expected=expected)
     return t.outcome(f"1<=m<={mmax}")
 
 
@@ -311,7 +330,8 @@ def _c_fractal_closed(profile: str, solver: Solver, t: _Tally) -> _Tally:
             sim = simulate(lambda h: fractal_policy(half, h), g).strategic_value
             stated = fractal_closed_form(k, m)
             sims[(k, m)] = sim
-            t.check(sim == stated, k=k, m=m, simulated=sim, stated=stated)
+            if not t.holds(sim == stated):
+                t.fail(k=k, m=m, simulated=sim, stated=stated)
     anchor = ", ".join(f"V_sim(2^{k}-1 family, m=1)={sims[(k, 1)]}" for k in range(1, 6))
     return t.outcome(
         "k<=5, m<=4",
@@ -329,7 +349,8 @@ def _c_fractal_beats(profile: str, solver: Solver, t: _Tally) -> _Tally:
         g = g_family_realize(2**k - 1, 1, 0)
         fr = simulate(lambda h: fractal_policy(half, h), g).strategic_value
         fl = simulate(flip_flop_policy, g).strategic_value
-        t.check(fr >= fl, k=k, fractal=fr, flip_flop=fl)
+        if not t.holds(fr >= fl):
+            t.fail(k=k, fractal=fr, flip_flop=fl)
     return t.outcome("2<=k<=6, m=1")
 
 
@@ -348,7 +369,8 @@ def _c_strategy_cap(profile: str, solver: Solver, t: _Tally) -> _Tally:
                 ("fractal-half", lambda h: fractal_policy(half, h)),
             ):
                 sim = simulate(policy, g).strategic_value
-                t.check(sim <= exact, strategy=name, j=j, m=m, simulated=sim, exact=exact)
+                if not t.holds(sim <= exact):
+                    t.fail(strategy=name, j=j, m=m, simulated=sim, exact=exact)
     return t.outcome(f"both strategies on families 2^j-1, j<={jmax}, m<={mmax}")
 
 
@@ -378,7 +400,8 @@ def _sweep(claim_id: str, statement: str, points, row, notes=None) -> None:
         keys = ("params", "lower", "exact", "upper")
         for point in pts:
             r = row(solver, **point)
-            t.check(r["holds"], **{k: r[k] for k in keys if r[k] != ""})
+            if not t.holds(r["holds"]):
+                t.fail(**{k: r[k] for k in keys if r[k] != ""})
         return t.outcome(params, notes(solver) if notes else "")
 
     _register(claim_id, statement, sweep=(points, row))(run)
@@ -434,7 +457,8 @@ def _c_standard_proof_variant(profile: str, solver: Solver, t: _Tally) -> _Tally
         k, m = p["k"], p["m"]
         exact = solver.value(g_family_realize(2 ** (k + 1) - 1, m, 0))
         variant = (2 ** (k + 1) - 2) * m + (2 ** (k + 1) - 2) - 2 + (1 if k == 0 else 0)
-        t.check(exact <= variant, k=k, m=m, exact=exact, variant_upper=variant)
+        if not t.holds(exact <= variant):
+            t.fail(k=k, m=m, exact=exact, variant_upper=variant)
     return t.outcome(
         params,
         "the statement form with 2^(k+2) holds (see standard-form-interval); this "
@@ -498,7 +522,8 @@ _sweep(
 def _c_half_pool(profile: str, solver: Solver, t: _Tally) -> _Tally:
     params, games = _p_sweep(profile)
     for g in games:
-        t.check(2 * g[0] <= g.total, game=g.piles, total=g.total)
+        if not t.holds(2 * g[0] <= g.total):
+            t.fail(game=g.piles, total=g.total)
     return t.outcome(params)
 
 
@@ -510,7 +535,8 @@ def _c_log_floor(profile: str, solver: Solver, t: _Tally) -> _Tally:
     params, games = _p_sweep(profile)
     for g in games:
         nw = _n_winner(solver, g)
-        t.check(nw >= log_lower_bound(g.total), game=g.piles, n_winner=nw)
+        if not t.holds(nw >= log_lower_bound(g.total)):
+            t.fail(game=g.piles, n_winner=nw)
     return t.outcome(params)
 
 
@@ -527,7 +553,8 @@ def _c_duplicate_pairs(profile: str, solver: Solver, t: _Tally) -> _Tally:
         base = plain.value(g)
         for a in range(1, 9):
             v = plain.value(g + Game([a, a]))
-            t.check(v == base, game=g.piles, pair=a, value=v, base=base)
+            if not t.holds(v == base):
+                t.fail(game=g.piles, pair=a, value=v, base=base)
     return t.outcome(f"P positions total<={cap}, pairs a<=8")
 
 
@@ -538,7 +565,8 @@ def _c_duplicate_pairs(profile: str, solver: Solver, t: _Tally) -> _Tally:
 def _c_xor_adjacent(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for a in range(1, 4097):
         r = xor_adjacent(a)
-        t.check((r & (r + 1)) == 0, a=a, result=r)
+        if not t.holds((r & (r + 1)) == 0):
+            t.fail(a=a, result=r)
     return t.outcome("1<=a<=4096")
 
 
@@ -550,7 +578,8 @@ def _c_power_chain(profile: str, solver: Solver, t: _Tally) -> _Tally:
     nmax = {"smoke": 5, "desk": 6, "extended": 7}[profile]
     for n in range(2, nmax + 1):
         r = best_power_arrangement(n, solver)
-        t.check(r.n_winner == n - 1, n=n, n_winner=r.n_winner)
+        if not t.holds(r.n_winner == n - 1):
+            t.fail(n=n, n_winner=r.n_winner)
     return t.outcome(f"2<=n<={nmax}")
 
 
@@ -577,15 +606,15 @@ def _c_skip_chain(profile: str, solver: Solver, t: _Tally) -> _Tally:
             optimal = solver.best_plies(g)
             nw = _n_winner(solver, g)
             nw_after = _n_winner(solver, g.apply(ply))
-            t.check(
-                ply in optimal and nw == n - 1 and nw_after == n - 1,
-                game=g.piles,
-                n=n,
-                k=k,
-                ply=[ply.pile_index, ply.new_size],
-                n_winner=nw,
-                after=nw_after,
-            )
+            if not t.holds(ply in optimal and nw == n - 1 and nw_after == n - 1):
+                t.fail(
+                    game=g.piles,
+                    n=n,
+                    k=k,
+                    ply=[ply.pile_index, ply.new_size],
+                    n_winner=nw,
+                    after=nw_after,
+                )
     return t.outcome(f"3<=n<={nmax}, all k")
 
 
@@ -601,7 +630,8 @@ def _c_equality_set(profile: str, solver: Solver, t: _Tally) -> _Tally:
         achievers = exhaustive_min_winner(total, max_piles=total, solver=solver)
         got = sorted(r.game.piles for r in achievers if r.n_winner == floor)
         expected = sorted(r.game.piles for r in equality_arrangements(total, solver))
-        t.check(got == expected, total=total, achievers=got, expected=expected)
+        if not t.holds(got == expected):
+            t.fail(total=total, achievers=got, expected=expected)
     return t.outcome(
         f"every P position of every even total<={cap}",
         "total 4 hits two arrangements, [1,1,1,1] and [2,2], although the source "
@@ -619,13 +649,8 @@ def _c_five_pile(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for total in range(4, cap + 1, 2):
         r = five_pile_construct(total, solver)
         upper = five_pile_upper(total)
-        t.check(
-            r.game.total == total and len(r.game) <= 5 and r.n_winner <= upper,
-            total=total,
-            game=r.game.piles,
-            n_winner=r.n_winner,
-            cap=upper,
-        )
+        if not t.holds(r.game.total == total and len(r.game) <= 5 and r.n_winner <= upper):
+            t.fail(total=total, game=r.game.piles, n_winner=r.n_winner, cap=upper)
     return t.outcome(f"even totals 4..{cap}")
 
 
@@ -641,7 +666,8 @@ def _c_distinct_floor(profile: str, solver: Solver, t: _Tally) -> _Tally:
             if g.outcome is not OutcomeClass.P:
                 continue
             nw = _n_winner(solver, g)
-            t.check(nw >= duplicate_free_lower(g), game=g.piles, n_winner=nw)
+            if not t.holds(nw >= duplicate_free_lower(g)):
+                t.fail(game=g.piles, n_winner=nw)
     return t.outcome(f"duplicate-free P positions, p<=4, piles<={cap}")
 
 
@@ -660,12 +686,8 @@ def _c_min_winner(profile: str, solver: Solver, t: _Tally) -> _Tally:
     for total, (games, nw) in sorted(expected.items()):
         rs = exhaustive_min_winner(total, solver=solver)
         got = sorted(r.game.piles for r in rs)
-        t.check(
-            got == sorted(games) and rs[0].n_winner == nw,
-            total=total,
-            got=got,
-            n_winner=rs[0].n_winner,
-        )
+        if not t.holds(got == sorted(games) and rs[0].n_winner == nw):
+            t.fail(total=total, got=got, n_winner=rs[0].n_winner)
     return t.outcome("totals 2,10,12,14,16, <=6 piles")
 
 
@@ -676,15 +698,14 @@ def _c_min_winner(profile: str, solver: Solver, t: _Tally) -> _Tally:
 def _c_worked_example(profile: str, solver: Solver, t: _Tally) -> _Tally:
     g = Game([1, 5, 16, 20])
     v = solver.value(g)
-    t.check(v == 28, game=[1, 5, 16, 20], value=v, expected=28)
+    if not t.holds(v == 28):
+        t.fail(game=[1, 5, 16, 20], value=v, expected=28)
     plies = solver.best_plies(g)
-    t.check(
-        plies == (Ply(2, 2),),
-        game=[1, 5, 16, 20],
-        best=[[p.pile_index, p.new_size] for p in plies],
-    )
+    if not t.holds(plies == (Ply(2, 2),)):
+        t.fail(game=[1, 5, 16, 20], best=[[p.pile_index, p.new_size] for p in plies])
     v = solver.value(Game([1, 2, 4, 7]))
-    t.check(v == 8, game=[1, 2, 4, 7], value=v, expected=8)
+    if not t.holds(v == 8):
+        t.fail(game=[1, 2, 4, 7], value=v, expected=8)
     return t.outcome("one worked instance plus its endgame")
 
 
@@ -697,7 +718,8 @@ def _c_four_pile_reduction(profile: str, solver: Solver, t: _Tally) -> _Tally:
     anchors = [([3, 4, 7], 6), ([1, 2, 4, 7], 8), ([3, 5, 6], 6), ([1, 2, 5, 6], 6)]
     for piles, expected in anchors:
         v = solver.value(Game(piles))
-        t.check(v == expected, game=piles, value=v, expected=expected)
+        if not t.holds(v == expected):
+            t.fail(game=piles, value=v, expected=expected)
     for m in range(1, mmax + 1):
         for three, four in (
             ([3, 4 * m, 4 * m + 3], [1, 2, 4 * m, 4 * m + 3]),
@@ -705,7 +727,8 @@ def _c_four_pile_reduction(profile: str, solver: Solver, t: _Tally) -> _Tally:
         ):
             v3 = solver.value(Game(three))
             v4 = solver.value(Game(four))
-            t.check(v4 >= v3, three=three, four=four, v3=v3, v4=v4)
+            if not t.holds(v4 >= v3):
+                t.fail(three=three, four=four, v3=v3, v4=v4)
     return t.outcome(f"m<={mmax}, both offset patterns")
 
 
@@ -715,11 +738,13 @@ def _c_four_pile_reduction(profile: str, solver: Solver, t: _Tally) -> _Tally:
 )
 def _c_split_counterexample(profile: str, solver: Solver, t: _Tally) -> _Tally:
     v = solver.value(Game([31, 42, 53]))
-    t.check(v == 96, game=[31, 42, 53], value=v, expected=96)
+    if not t.holds(v == 96):
+        t.fail(game=[31, 42, 53], value=v, expected=96)
     if profile == "smoke":
         return t.outcome("3-pile game only")
     v7 = solver.value(Game([1, 2, 4, 8, 16, 42, 53]))
-    t.check(v7 == 94, game=[1, 2, 4, 8, 16, 42, 53], value=v7, expected=94)
+    if not t.holds(v7 == 94):
+        t.fail(game=[1, 2, 4, 8, 16, 42, 53], value=v7, expected=94)
     return t.outcome("both games")
 
 
@@ -788,7 +813,8 @@ def _c_conj_split(profile: str, solver: Solver, t: _Tally) -> _Tally:
                 witness = (parts, v)
                 if not scan_all:
                     break
-        t.check(witness is not None, game=g.piles, value=base, decompositions=len(decomps))
+        if not t.holds(witness is not None):
+            t.fail(game=g.piles, value=base, decompositions=len(decomps))
     params = f"distinct-pile 3-pile P positions, total<={cap}"
     if profile != "smoke":
         params += "; plus [31,42,53], every split"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from candynim import allocation
 from candynim.allocation import (
     AllocationResult,
     best_power_arrangement,
@@ -13,8 +14,9 @@ from candynim.allocation import (
     _partitions,
 )
 from candynim.bounds import five_pile_upper, log_lower_bound
-from candynim.core import Game, Ply
+from candynim.core import Game, Ply, nim_sum
 from candynim.errors import (
+    BudgetError,
     ConstructionError,
     FamilyError,
     InvariantError,
@@ -165,6 +167,42 @@ def test_partitions_enumerates_zero_nim_sum():
 def test_partitions_respects_caps():
     assert all(len(p) <= 2 for p in _partitions(8, 2, 8))
     assert all(max(p) <= 3 for p in _partitions(8, 8, 3))
+
+
+def _descending_tuples(total, cap):
+    """Every descending tuple of positive piles of at most ``cap`` summing to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, cap), 0, -1):
+        for rest in _descending_tuples(total - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("total", range(17))
+def test_partitions_match_a_brute_force_enumeration(total):
+    for max_piles in (0, 1, 2, 3, 4, 6, total, total + 1):
+        for max_pile in (0, 1, 2, 3, 5, 8, total, total + 1):
+            brute = sorted(
+                (
+                    p
+                    for p in _descending_tuples(total, max_pile)
+                    if p and len(p) <= max_piles and nim_sum(p) == 0
+                ),
+                reverse=True,
+            )
+            assert list(_partitions(total, max_piles, max_pile)) == brute
+
+
+def test_partitions_raise_the_budget_error_past_the_budget(monkeypatch):
+    monkeypatch.setattr(allocation, "_PARTITION_BUDGET", 100)
+    with pytest.raises(BudgetError) as raised:
+        list(_partitions(40, 40, 40))
+    assert str(raised.value) == "partition search for total 40 passed 100 nodes"
+    with pytest.raises(BudgetError):
+        exhaustive_min_winner(40, max_piles=40)
+    # the search is lazy: the first tuple comes long before the budget
+    assert next(_partitions(200, 200, 200)) == (100, 100)
 
 
 def test_exhaustive_min_winner_small_totals():

@@ -105,6 +105,11 @@ def test_allocate_equality_miss_is_exit_1():
     assert code == 1
 
 
+def test_allocate_past_the_partition_budget_is_exit_3(monkeypatch):
+    monkeypatch.setattr("candynim.allocation._PARTITION_BUDGET", 10)
+    assert run(["allocate", "10", "--method", "exhaustive"])[0] == 3
+
+
 def test_allocate_odd_total_is_usage_error():
     code, _ = run(["allocate", "11"])
     assert code == 2

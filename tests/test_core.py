@@ -235,8 +235,98 @@ def test_turn_validation():
     t = Turn(g, after_l, after_w)
     assert t.loser_take == 3
     assert t.winner_take == 1
-    with pytest.raises(Exception):
+    with pytest.raises(IllegalMoveError) as raised:
         Turn(g, after_w, after_l)  # wrong order of classes
+    assert str(raised.value) == "the loser cannot reach [1,1] from [3,2,1]"
+
+
+# Each error the checks of Game(), Game.apply, unique_response and Turn
+# raise, as type and message; the plain-int fast paths must raise the same.
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Game([3, True]), ParseError, "pile sizes must be integers, got True"),
+        (lambda: Game([3, 2.0]), ParseError, "pile sizes must be integers, got 2.0"),
+        (lambda: Game([3, -1]), ParseError, "pile sizes must be nonnegative, got -1"),
+        (
+            lambda: Game([3, PILE_CAP + 1]),
+            PileCapError,
+            "pile 4294967296 exceeds the hard cap 4294967295",
+        ),
+        (lambda: Game([5, 3]).apply(Ply(2, 0)), IllegalMoveError, "no pile 2 in [5,3]"),
+        (lambda: Game([5, 3]).apply(Ply(-1, 0)), IllegalMoveError, "no pile -1 in [5,3]"),
+        (
+            lambda: Game([5, 3]).apply(Ply(True, 5)),
+            IllegalMoveError,
+            "pile True of [5,3] is 3; cannot set it to 5",
+        ),
+        (
+            lambda: Game([5, 3]).apply(Ply(0, 5)),
+            IllegalMoveError,
+            "pile 0 of [5,3] is 5; cannot set it to 5",
+        ),
+        (
+            lambda: Game([5, 3]).apply(Ply(0, 7)),
+            IllegalMoveError,
+            "pile 0 of [5,3] is 5; cannot set it to 7",
+        ),
+        (
+            lambda: Game([5, 3]).apply(Ply(0, -1)),
+            IllegalMoveError,
+            "pile 0 of [5,3] is 5; cannot set it to -1",
+        ),
+        (lambda: Game([5, 3]).apply(Ply(0, 2.5)), ParseError, "pile sizes must be integers, got 2.5"),
+        (lambda: Game([5, 3]).apply(Ply(0, True)), ParseError, "pile sizes must be integers, got True"),
+        (
+            lambda: unique_response(Game([1, 2, 4, 7]), Ply(0, 0)),
+            FamilyError,
+            "unique replies are only guaranteed for <=3 piles, got [7,4,2,1]",
+        ),
+        (
+            lambda: unique_response(Game([5, 3]), Ply(0, 0)),
+            FamilyError,
+            "[5,3] is not a P position",
+        ),
+        (
+            lambda: Turn(Game(), Game(), Game()),
+            IllegalMoveError,
+            "a turn cannot start from the empty game",
+        ),
+        (
+            lambda: Turn(Game([5, 3]), Game([3, 3]), Game([3, 3])),
+            IllegalMoveError,
+            "turns start from P positions, got [5,3]",
+        ),
+        (
+            lambda: Turn(Game([3, 2, 1]), Game([3, 3]), Game([3, 3])),
+            IllegalMoveError,
+            "the loser cannot reach [3,3] from [3,2,1]",
+        ),
+        (
+            lambda: Turn(Game([3, 2, 1]), Game([2, 1]), Game([2])),
+            IllegalMoveError,
+            "the winner must restore a P position, got [2]",
+        ),
+        (
+            lambda: Turn(Game([3, 2, 1]), Game([2]), Game([])),
+            IllegalMoveError,
+            "[2] is not one ply away from [3,2,1]",
+        ),
+    ],
+)
+def test_checks_raise_their_pinned_errors(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_apply_takes_the_plies_it_took_before():
+    # a bool pile index and a falsy float size are not plain ints, yet apply
+    # has always taken them
+    assert Game([5, 3]).apply(Ply(True, 0)) == Game([5])
+    assert Game([5, 3]).apply(Ply(0, 0.0)) == Game([3])
+    assert Game([5, 3]).apply(Ply(1, 2)).piles == (5, 2)
 
 
 def test_pile_change_names_the_one_pile_that_shrank():

@@ -6,11 +6,13 @@ import json
 
 import pytest
 
+from candynim import core, harness
 from candynim.cli import dispatch
-from candynim.core import Game
-from candynim.errors import UnknownClaimError
+from candynim.core import Game, winning_moves
+from candynim.errors import InvariantError, UnknownClaimError
 from candynim.harness import (
     ClaimReport,
+    _Tally,
     _register,
     bound_rows,
     claim_ids,
@@ -94,6 +96,90 @@ def test_failures_are_replayable_json():
     for f in r.failures:
         item = json.loads(f)
         assert {"j", "m", "simulated", "stated"} <= set(item)
+
+
+# No desk instance fails, so the desk pin cannot see the failure records.
+# These force failures at smoke; the records were recorded on the code that
+# still passed ratio=str(ratio) and built a record for every instance.
+@pytest.mark.parametrize(
+    "bound, count, sha256",
+    [
+        (0, 180, "85ab1980710660821eb7a27b6312a6bf0386738cbb0e6c269ec36546f0537a72"),
+        (1, 39, "34880a4c8f43e9b411f01aed75fa13015071519453ba6ab6fb8d855658090e3c"),
+        (2, 23, "9d508c34f170612fb579350894686f398da56898a5565334f152001d16f50f2f"),
+    ],
+)
+def test_forced_semiratio_failures_keep_their_records(monkeypatch, bound, count, sha256):
+    monkeypatch.setattr(harness, "semiratio_bound", lambda a: bound)
+    r = verify_claim("semiratio-cap", "smoke")
+    assert (r.instances, r.status, len(r.failures)) == (180, "fail", count)
+    assert hashlib.sha256("\n".join(r.failures).encode()).hexdigest() == sha256
+    if bound == 2:
+        # a ratio equal to the bound holds; one above it is written as str(Fraction)
+        assert r.failures[5] == '{"game":[7,5,2],"pile":0,"ratio":"7/3","to":0}'
+
+
+@pytest.mark.parametrize(
+    "claim_id, game, copies, instances, record",
+    [
+        ("odd-winning-count", (3, 1), 2, 1172, '{"game":[3,1],"winning":2}'),
+        (
+            "unique-three-pile-reply",
+            (2, 1),
+            3,
+            840,
+            '{"game":[3,2,1],"pile":0,"replies":3,"to":0}',
+        ),
+    ],
+)
+def test_forced_winning_move_failures_keep_their_records(
+    monkeypatch, claim_id, game, copies, instances, record
+):
+    def skewed(g):
+        moves = winning_moves(g)
+        return moves * copies if g.piles == game else moves
+
+    monkeypatch.setattr(harness, "winning_moves", skewed)
+    r = verify_claim(claim_id, "smoke")
+    assert (r.instances, r.status, r.failures) == (instances, "fail", (record,))
+
+
+def _counting(monkeypatch, name):
+    """Replace ``harness.name`` by a wrapper that counts its calls."""
+    real, calls = getattr(harness, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("claim_id", ["odd-winning-count", "unique-three-pile-reply"])
+def test_move_claims_call_core_winning_moves_once_per_instance(monkeypatch, claim_id):
+    assert harness.winning_moves is core.winning_moves
+    calls = _counting(monkeypatch, "winning_moves")
+    r = verify_claim(claim_id, "smoke")
+    assert r.status == "pass" and len(calls) == r.instances > 0
+
+
+def test_semiratio_cap_builds_a_validated_turn_per_instance(monkeypatch):
+    assert (harness.Turn, harness.semiratio) == (core.Turn, core.semiratio)
+    turns = _counting(monkeypatch, "Turn")
+    ratios = _counting(monkeypatch, "semiratio")
+    r = verify_claim("semiratio-cap", "smoke")
+    assert r.status == "pass" and len(turns) == len(ratios) == r.instances > 0
+    assert all(type(turn) is core.Turn for (turn,) in ratios)
+
+
+def test_tally_refuses_a_failure_left_unrecorded():
+    t = _Tally()
+    assert t.holds(True) and not t.holds(False)
+    with pytest.raises(InvariantError):
+        t.outcome("params")
+    t.fail(instance=2)
+    assert t.outcome("params").failures == ['{"instance":2}']
 
 
 def test_notes_lead_with_the_statement():
