@@ -10,11 +10,10 @@ truth search the constructions are measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bounds import five_pile_upper
-from .core import Game, OutcomeClass, Ply, g_family_realize
+from .core import Game, OutcomeClass, Ply, _Record, g_family_realize
 from .errors import (
     BudgetError,
     ConstructionError,
@@ -25,19 +24,22 @@ from .errors import (
 from .solver import Solver, _default_solver, _n_winner
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(_Record):
     """A P position of the requested total, with its verified winner haul."""
 
     game: Game
     n_winner: int
     construction: str
 
-    def __post_init__(self):
-        if self.game.outcome is not OutcomeClass.P:
-            raise InvariantError(f"{self.game} has nonzero nim-sum")
-        if self.n_winner < 0:
-            raise InvariantError(f"negative winner haul {self.n_winner}")
+    def __init__(self, game: Game, n_winner: int, construction: str):
+        fields = self.__dict__
+        fields["game"] = game
+        fields["n_winner"] = n_winner
+        fields["construction"] = construction
+        if game.outcome is not OutcomeClass.P:
+            raise InvariantError(f"{game} has nonzero nim-sum")
+        if n_winner < 0:
+            raise InvariantError(f"negative winner haul {n_winner}")
 
 
 def _verified(game: Game, tag: str, solver: Optional[Solver]) -> AllocationResult:
@@ -251,8 +253,10 @@ def exhaustive_min_winner(
 ) -> tuple[AllocationResult, ...]:
     """All minimum-haul P positions of the total, canonically ordered.
 
-    Enumerates every zero-nim-sum pile multiset within the caps, solves
-    each, and keeps the ones whose winner haul hits the minimum.
+    Enumerates every zero-nim-sum pile multiset within the caps, then
+    solves each and keeps the ones whose winner haul hits the minimum.
+    The whole enumeration comes first, so a total whose partition search
+    passes the budget raises before any position is solved.
 
     Raises:
         ParityError: odd total.
@@ -262,7 +266,7 @@ def exhaustive_min_winner(
     s = solver or _default_solver()
     best: Optional[int] = None
     keep: list[Game] = []
-    for piles in _partitions(total, max_piles, total):
+    for piles in list(_partitions(total, max_piles, total)):
         game = Game(piles)
         n_winner = _n_winner(s, game)
         if best is None or n_winner < best:

@@ -9,31 +9,31 @@ artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Union
 
-from .core import Game, g_family_realize
+from .core import Game, _Record, g_family_realize
 from .errors import InvariantError
 from .solver import Solver, _default_solver
 
 Endpoint = Union[int, Fraction, float]
 
 
-@dataclass(frozen=True)
-class BoundInterval:
+class BoundInterval(_Record):
     """An inclusive [lower, upper] window tagged with its source claim."""
 
     lower: Endpoint
     upper: Endpoint
     source: str
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise InvariantError(
-                f"{self.source}: lower {self.lower} exceeds upper {self.upper}"
-            )
+    def __init__(self, lower: Endpoint, upper: Endpoint, source: str):
+        fields = self.__dict__
+        fields["lower"] = lower
+        fields["upper"] = upper
+        fields["source"] = source
+        if lower > upper:
+            raise InvariantError(f"{source}: lower {lower} exceeds upper {upper}")
 
     def contains(self, v) -> bool:
         return self.lower <= v <= self.upper

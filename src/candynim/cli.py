@@ -19,12 +19,10 @@ per game.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,7 +31,7 @@ from .allocation import (
     exhaustive_min_winner,
     five_pile_construct,
 )
-from .core import _SPACE, Game, Turn, loser_moves, winning_moves
+from .core import _SPACE, Game, Turn, _Record, loser_moves, winning_moves
 from .errors import BudgetError, CandyNimError, ConstructionError, ParseError
 from .harness import (
     PROFILES,
@@ -67,24 +65,36 @@ _STRATEGIES = {
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(_Record):
     """Resolved run configuration; defaults match the acceptance runs."""
 
-    output_format: str = "text"
-    budget_profile: str = "desk"
-    pile_cap: int = DEFAULT_PILE_CAP
-    memo_cap: int = DEFAULT_MEMO_CAP
-    engine: str = "auto"
+    output_format: str
+    budget_profile: str
+    pile_cap: int
+    memo_cap: int
+    engine: str
 
-    def __post_init__(self):
-        if self.output_format not in FORMATS:
+    def __init__(
+        self,
+        output_format: str = "text",
+        budget_profile: str = "desk",
+        pile_cap: int = DEFAULT_PILE_CAP,
+        memo_cap: int = DEFAULT_MEMO_CAP,
+        engine: str = "auto",
+    ):
+        fields = self.__dict__
+        fields["output_format"] = output_format
+        fields["budget_profile"] = budget_profile
+        fields["pile_cap"] = pile_cap
+        fields["memo_cap"] = memo_cap
+        fields["engine"] = engine
+        if output_format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.budget_profile not in PROFILES:
+        if budget_profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}")
-        if self.engine not in ENGINES:
+        if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        if self.pile_cap < 1 or self.memo_cap < 1:
+        if pile_cap < 1 or memo_cap < 1:
             raise ValueError("caps must be positive")
 
     def solver(self) -> Solver:
@@ -196,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_out(header: Sequence[str], rows) -> str:
+    import csv  # only --format csv needs it, so other runs never load it
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)

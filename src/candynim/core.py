@@ -22,7 +22,6 @@ in :mod:`candynim.solver`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -131,8 +130,75 @@ def _check_pile(p) -> None:
         raise _over_cap(p)
 
 
-@dataclass(frozen=True, order=True)
-class Game:
+class _Record:
+    """Base of the package's frozen records, each a dataclass written out.
+
+    A subclass declares its fields as class annotations, in order, and its
+    ``__init__`` fills them into ``__dict__``.  The base gives it what
+    ``@dataclass(frozen=True)`` would: the field-by-field ``repr``, ``==``
+    against the same class only, ``hash`` of the tuple of fields, and an
+    ``AttributeError`` on any attribute assignment or deletion.  Written
+    out because ``dataclasses`` execs generated source for every method
+    of every class when the package is imported.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = self.__dict__
+        body = ", ".join(f"{name}={fields[name]!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Ordered(_Record):
+    """A record ordered as ``@dataclass(order=True)``: by its tuple of fields."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() <= other._values()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() > other._values()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() >= other._values()
+        return NotImplemented
+
+
+class Game(_Ordered):
     """A multiset of pile sizes in canonical form.
 
     Canonical form drops empty piles and sorts descending, so two games
@@ -194,6 +260,15 @@ class Game:
             return NotImplemented
         return Game(self.piles + other.piles)
 
+    # eq and hash written out: sets and tables of games hash them
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.piles == other.piles
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.piles,))
+
     @property
     def total(self) -> int:
         """Total candy on the table."""
@@ -252,12 +327,25 @@ class Game:
         return self._old_size(ply) - ply.new_size
 
 
-@dataclass(frozen=True, order=True)
-class Ply:
+class Ply(_Ordered):
     """One move: pile ``pile_index`` (canonical order) drops to ``new_size``."""
 
     pile_index: int
     new_size: int
+
+    def __init__(self, pile_index: int, new_size: int):
+        fields = self.__dict__
+        fields["pile_index"] = pile_index
+        fields["new_size"] = new_size
+
+    # eq and hash written out: the engines' lines are tuples of plies
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pile_index, self.new_size) == (other.pile_index, other.new_size)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pile_index, self.new_size))
 
     def describe(self, game: Game) -> str:
         """Render as ``"5->2"`` against the position the ply applies to."""
@@ -369,8 +457,7 @@ def unique_response(game: Game, ply: Ply) -> Ply:
     return replies[0]
 
 
-@dataclass(frozen=True)
-class Turn:
+class Turn(_Record):
     """A validated loser ply plus the winner's reply.
 
     ``before`` must be a nonempty P position, ``after_loser`` the N
@@ -382,21 +469,25 @@ class Turn:
     after_loser: Game
     after_winner: Game
 
-    def __post_init__(self):
-        if not self.before.piles:
+    def __init__(self, before: Game, after_loser: Game, after_winner: Game):
+        fields = self.__dict__
+        fields["before"] = before
+        fields["after_loser"] = after_loser
+        fields["after_winner"] = after_winner
+        if not before.piles:
             raise IllegalMoveError("a turn cannot start from the empty game")
-        if nim_sum(self.before.piles):
-            raise IllegalMoveError(f"turns start from P positions, got {self.before}")
-        if not nim_sum(self.after_loser.piles):
+        if nim_sum(before.piles):
+            raise IllegalMoveError(f"turns start from P positions, got {before}")
+        if not nim_sum(after_loser.piles):
             raise IllegalMoveError(
-                f"the loser cannot reach {self.after_loser} from {self.before}"
+                f"the loser cannot reach {after_loser} from {before}"
             )
-        if nim_sum(self.after_winner.piles):
+        if nim_sum(after_winner.piles):
             raise IllegalMoveError(
-                f"the winner must restore a P position, got {self.after_winner}"
+                f"the winner must restore a P position, got {after_winner}"
             )
-        _pile_change(self.before, self.after_loser)
-        _pile_change(self.after_loser, self.after_winner)
+        _pile_change(before, after_loser)
+        _pile_change(after_loser, after_winner)
 
     @property
     def loser_take(self) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import asdict, dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterator, Optional
 
@@ -49,6 +48,7 @@ from .core import (
     OutcomeClass,
     Ply,
     Turn,
+    _Record,
     _pile_change,
     g_family_realize,
     loser_moves,
@@ -83,8 +83,7 @@ def json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(_Record):
     """Outcome of one claim sweep.
 
     ``failures`` holds compact JSON strings, each enough to replay the
@@ -101,11 +100,25 @@ class ClaimReport:
     status: str
     notes: str
 
-    def __post_init__(self):
-        if (self.status == STATUS_PASS) != (not self.failures):
+    def __init__(
+        self,
+        claim_id: str,
+        params: str,
+        instances: int,
+        failures: tuple[str, ...],
+        status: str,
+        notes: str,
+    ):
+        fields = self.__dict__
+        fields["claim_id"] = claim_id
+        fields["params"] = params
+        fields["instances"] = instances
+        fields["failures"] = failures
+        fields["status"] = status
+        fields["notes"] = notes
+        if (status == STATUS_PASS) != (not failures):
             raise ValueError(
-                f"{self.claim_id}: status {self.status} with "
-                f"{len(self.failures)} failures"
+                f"{claim_id}: status {status} with {len(failures)} failures"
             )
 
 
@@ -145,12 +158,18 @@ class _Tally:
         return self
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(_Record):
     statement: str
     kind: str
     run: Callable[[str, Solver, _Tally], _Tally]
-    sweep: Optional[tuple] = None  # bound sweeps only: (points, row)
+    sweep: Optional[tuple]  # bound sweeps only: (points, row)
+
+    def __init__(self, statement: str, kind: str, run, sweep: Optional[tuple] = None):
+        fields = self.__dict__
+        fields["statement"] = statement
+        fields["kind"] = kind
+        fields["run"] = run
+        fields["sweep"] = sweep
 
 
 _REGISTRY: dict[str, _Entry] = {}
@@ -889,7 +908,17 @@ def exit_status(reports) -> int:
 
 def report_lines(reports) -> str:
     """One ClaimReport per line as compact JSON, byte-stable across runs."""
-    return "\n".join(json_line(asdict(r)) for r in reports) + "\n"
+    return "\n".join(
+        json_line({
+            "claim_id": r.claim_id,
+            "params": r.params,
+            "instances": r.instances,
+            "failures": r.failures,
+            "status": r.status,
+            "notes": r.notes,
+        })
+        for r in reports
+    ) + "\n"
 
 
 def summary_table(reports) -> str:

@@ -73,6 +73,8 @@ def kernel_available() -> bool:
     return _kernel is not None
 
 
+# The package's one dataclass: the benchmark's own tests build a wrong result
+# from a real one with dataclasses.replace.
 @dataclass(frozen=True)
 class SolveResult:
     """Value, candy split, and one optimal line for a solved game.

@@ -11,10 +11,9 @@ forced winner and returns the full trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import Game, Ply, Turn, OutcomeClass, unique_response
+from .core import Game, Ply, Turn, OutcomeClass, _Record, unique_response
 from .errors import FamilyError, IllegalMoveError, NoMovesError
 from .solver import Solver, _default_solver
 
@@ -95,8 +94,7 @@ def fractal_policy(f: ContractiveFn, g: Game) -> Ply:
     return Ply(0, 2**fj - 1)
 
 
-@dataclass(frozen=True)
-class StrategyTrace:
+class StrategyTrace(_Record):
     """A full play-through: turns from the root down to the empty game.
 
     The totals are read off the turns.  ``strategic_value`` is what the
@@ -105,9 +103,10 @@ class StrategyTrace:
 
     turns: tuple[Turn, ...]
 
-    def __post_init__(self):
+    def __init__(self, turns: tuple[Turn, ...]):
+        self.__dict__["turns"] = turns
         pos = self.root
-        for t in self.turns:
+        for t in turns:
             if t.before != pos:
                 raise ValueError(f"turn starting at {t.before} does not follow {pos}")
             pos = t.after_winner

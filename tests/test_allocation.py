@@ -205,6 +205,37 @@ def test_partitions_raise_the_budget_error_past_the_budget(monkeypatch):
     assert next(_partitions(200, 200, 200)) == (100, 100)
 
 
+class _SpySolver(Solver):
+    """A solver that counts its ``value`` and ``solve`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def value(self, game):
+        self.calls += 1
+        return super().value(game)
+
+    def solve(self, game):
+        self.calls += 1
+        return super().solve(game)
+
+
+def test_exhaustive_min_winner_raises_the_budget_error_before_solving(monkeypatch):
+    # the partition search of total 40 passes 100 nodes long after it has
+    # yielded its first positions, and not one of them may be solved
+    monkeypatch.setattr(allocation, "_PARTITION_BUDGET", 100)
+    spy = _SpySolver()
+    with pytest.raises(BudgetError):
+        exhaustive_min_winner(40, max_piles=40, solver=spy)
+    assert spy.calls == 0
+    # under the budget, the same spy answers and solves each position once
+    monkeypatch.setattr(allocation, "_PARTITION_BUDGET", 2_000_000)
+    rs = exhaustive_min_winner(12, max_piles=3, solver=spy)
+    assert [r.game.piles for r in rs] == [(6, 4, 2)]
+    assert spy.calls == len(list(_partitions(12, 3, 12)))
+
+
 def test_exhaustive_min_winner_small_totals():
     rs = exhaustive_min_winner(10)
     assert [r.game.piles for r in rs] == [(5, 4, 1)]
