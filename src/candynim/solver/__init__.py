@@ -18,26 +18,38 @@ The kernel, ``candynim.solver._kernel``, is the hand-written C extension
 
 The kernel keys each position by its own width: a position of ``n``
 piles gives every pile a ``62 // n``-bit field, highest pile first, and
-stores that width beside the key.  A kernel search past its depth budget
-raises :class:`BudgetError` (exit 3); ``engine="python"`` still answers
-it.  Before it probes or searches a position the kernel drops every
-equal pile pair from it, which never changes a value; the Python engine
-keeps the pairs, so it stays an independent check of that shortcut.  The
+stores that width beside the key.  Its table hashes a key with one
+multiply (Fibonacci hashing) and probes linearly.  A kernel search past
+its depth budget raises :class:`BudgetError` (exit 3); ``engine="python"``
+still answers it.  Before it probes or searches a position the kernel
+drops every equal pile pair from it, which never changes a value; the
+Python engine keeps the pairs, so it stays an independent check of that shortcut.  The
 kernel's value search also prunes: a nonempty zero nim-sum position of
 total ``t`` is worth at most ``t - 2``, since the winner takes the last
 candy, and a loser's ply whose bound from that fact cannot beat the best
 ply found is never searched.  It bounds whole aligned blocks of such plies
 at once, skipping the same plies with fewer checks, and builds each of the
 winner's reply positions in one step from the position before the loser's
-ply.  At 3 piles, the width of the paper's families, that step is a sort
-of three numbers: the loser's new size, the reply's target and the pile
-neither touched.  Their nim-sum is zero, so if one of the first two is
-zero the other two are an equal pair and the reply leaves the empty
-game; otherwise they are three distinct piles, with no pair to drop.  The
-3-pile path changes what a searched ply costs, never which plies are
-searched.  A principal line drops a ply on the first reply that proves it
-short of the value already known.  The Python engine scans every ply, so
-it checks the pruning too.
+ply.  At 3 piles, the width of the paper's families and of most of a
+cold search, the search scores a loser's ply in place: the ply has one
+winner reply, on the other pile that holds the leading bit of the child's
+nim-sum, and the reply position is a sort of three numbers, the loser's
+new size, the reply's target and the pile neither touched.  Their nim-sum
+is zero, so if one of the first two is zero the other two are an equal
+pair and the reply leaves the empty game; otherwise they are three
+distinct piles, with no pair to drop.  The search probes that position's
+slot itself and recurses only on a miss.  The 3-pile path changes what a
+searched ply costs, never which plies are searched.
+
+A principal line drops a ply on the first reply that proves it short of
+the value already known.  Plies are scanned by pile index, then new size.
+Over the first pile of each run of equal piles that order increases in
+the child's canonical tuple, and a ply on a later pile of a run leaves
+the same child, taking as much, as the same ply on the run's first pile,
+scanned before it.  So the first ply of the best score is the tie-break's
+pick, and the kernel's line takes it without comparing children.  The Python engine scans every
+ply and breaks ties by explicit child keys, so it checks the pruning and
+the scan-order tie-break too.
 """
 
 from __future__ import annotations
@@ -285,7 +297,9 @@ class Solver:
         the loser's plies by whole blocks, but searches exactly the plies a
         one-at-a-time scan would, so blocks do not change the counts; a
         principal line and ``best_plies`` stop scoring a ply once it falls
-        short of the value.
+        short of the value, and at a loser-to-move position the kernel's
+        line scores no ply after the first that reaches it, which saves
+        probes where piles repeat.
         """
         out = self._native.stats() if self._native is not None else []
         if self._py is not None:

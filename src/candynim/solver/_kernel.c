@@ -26,28 +26,34 @@
      position: each reply position is built from it in one merge, with the
      loser's ply and the reply both applied, and the position between is
      never built.
-   - 3 piles, the paper's width and about half of what a cold search
-     stores, take a path of their own that changes what a ply costs, never
-     which plies are searched: a reply position is a sort of the triple
-     (the loser's new size, the reply's target, the untouched pile) in
-     place of the merge, pack shifts by constants, and block_bound reads
-     the two other piles with no loop.  The triple is exact because its
-     nim-sum is zero: if it holds a zero, the other two are equal and the
-     pair leaves the empty game, worth 0; otherwise its piles are distinct
-     and positive, already stripped.  Other widths keep the general code.
+   - 3 piles, the paper's width and most of what a cold search probes, are
+     scored inside search itself, which changes what a ply costs, never
+     which plies are searched.  A loser's ply there has exactly one winner
+     reply, on whichever other pile holds the leading bit of the child's
+     nim-sum; its position is a sort of the triple (the loser's new size,
+     the reply's target, the untouched pile) in place of the merge, and its
+     slot is probed inline, so search recurses only on a miss.  The triple
+     is exact because its nim-sum is zero: if it holds a zero, the other two
+     are equal and the pair leaves the empty game, worth 0; otherwise its
+     piles are distinct and positive, already stripped.  pack shifts by
+     constants there, and block_bound reads the two other piles with no
+     loop.  Other widths keep the general code.
    - line() and best_plies() know the value of each loser-to-move position
      they score plies at, so a ply is scored only up to the point that it
      cannot reach that value: the winner's fold stops on the first reply
-     that proves it short.  scores() stays exact.
+     that proves it short.  scores() stays exact.  Plies are scanned by
+     pile index, then new size, so the first ply of the best score is the
+     tie-break's pick, and line() stops at it; best_ply says why.
 
    The table is one flat array per engine: 16-byte slots, linear probing
-   over a power-of-two size, a splitmix64 hash.  It starts at MIN_SLOTS
-   slots, doubles at load 1/2, and never grows past the size that holds
-   memo_cap entries at that load.  A position of n piles is keyed by its own
-   width: each pile gets 62 / n bits, highest pile first, so a tail solved
-   under one root is found again under another.  Slots keep n beside the
-   key, since keys of different widths can coincide.  Only loser-to-move
-   (zero nim-sum) positions are stored.
+   over a power-of-two size, and a multiplicative (Fibonacci) hash that
+   keeps the top bits of one product.  It starts at MIN_SLOTS slots,
+   doubles at load 1/2, and never grows past the size that holds memo_cap
+   entries at that load.  A position of n piles is keyed by its own width:
+   each pile gets 62 / n bits, highest pile first, so a tail solved under
+   one root is found again under another.  Slots keep n beside the key,
+   since keys of different widths can coincide.  Only loser-to-move (zero
+   nim-sum) positions are stored.
 
    The search recurses on the C stack under a budget of MAX_TURNS nested
    searches per value_of call; a table miss past it raises BudgetError.  A
@@ -68,6 +74,13 @@
 #define MIN_SLOTS 1024
 #define MAX_TURNS 5000 /* search depth budget of one value_of call */
 #define FAIL INT64_MIN /* a search that set a Python error */
+#define WIDTH_TAG 59   /* find xors a width, below 2^5, into a key's top five bits */
+
+/* setup.py passes the sha256 of this file, so a stale build can be told
+   from a fresh one; a build by any other route leaves it empty. */
+#ifndef KERNEL_SOURCE_SHA256
+#define KERNEL_SOURCE_SHA256 ""
+#endif
 
 /* KEY_BITS / n, the field width of a pile in an n-pile key, so that no
    probe divides; the empty game gets all of KEY_BITS. */
@@ -92,6 +105,7 @@ typedef struct {
     PyObject_HEAD
     Slot *slots;
     uint64_t mask;      /* slot count - 1 */
+    int shift;          /* 64 - log2(slot count): find keeps the bits above it */
     uint64_t max_slots; /* slot count that holds memo_cap entries at load 1/2 */
     uint64_t size;
     uint64_t memo_cap;
@@ -173,19 +187,12 @@ static uint64_t pack(const int64_t *arr, int n, int slots)
     return key;
 }
 
-static uint64_t mix(uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-/* The slot holding (key, width), or the empty slot where it would go. */
+/* The slot holding (key, width), or the empty slot where it would go.  The
+   hash is multiplicative (Fibonacci) hashing: the top log2(slots) bits of
+   the tagged key times 2^64 over the golden ratio, one multiply. */
 static Slot *find(Engine *e, uint64_t key, int width)
 {
-    uint64_t i = mix(key + (uint64_t)width * 0x9e3779b97f4a7c15ULL) & e->mask;
+    uint64_t i = (key ^ (uint64_t)width << WIDTH_TAG) * 0x9e3779b97f4a7c15ULL >> e->shift;
     Slot *s = e->slots + i;
     while (s->width && (s->key != key || s->width != width)) {
         i = (i + 1) & e->mask;
@@ -205,6 +212,7 @@ static int grow(Engine *e)
     }
     e->slots = fresh;
     e->mask = 2 * old_count - 1;
+    e->shift--;
     for (uint64_t i = 0; i < old_count; i++)
         if (old[i].width)
             *find(e, old[i].key, old[i].width) = old[i];
@@ -259,6 +267,23 @@ static int64_t block_bound(const int64_t *arr, int n, int64_t tot, int i, int64_
     return tot - 2 - 2 * most;
 }
 
+/* The stripped reply position (x, y, z) of a 3-pile loser-to-move
+   position, descending in out: x the loser's new size, y the winner's
+   target and z the pile neither touched.  Their nim-sum is zero, so if one
+   of x and y is zero the other equals z, and the pair leaves the empty
+   game; otherwise no two are equal, as that would make the third zero, and
+   the triple is three distinct positive piles. */
+static int triple(int64_t x, int64_t y, int64_t z, int64_t *out)
+{
+    if (!x || !y)
+        return 0;
+    int64_t hi = x > y ? x : y, lo = x > y ? y : x;
+    out[0] = hi > z ? hi : z;
+    out[1] = hi < z ? hi : lo > z ? lo : z;
+    out[2] = lo < z ? lo : z;
+    return 3;
+}
+
 /* Value of a stripped loser-to-move position (nonempty, zero nim-sum),
    with turns nested searches left. */
 static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
@@ -284,7 +309,11 @@ static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
        best while plies are skipped, so a skipped ply ns widens to the
        largest aligned block [hi - size, hi), hi = ns + 1, whose bound cannot
        beat best either, and the block is skipped whole: the same plies as
-       one at a time, with fewer bounds. */
+       one at a time, with fewer bounds.  At 3 piles the child has one
+       winner reply, on the other pile j that holds the leading bit of the
+       child's nim-sum (pile i does not: its restoring size is p > ns); the
+       reply position is the sorted triple, probed here, and searched only
+       on a miss. */
     int64_t best = FAIL, tot = 0;
     for (int j = 0; j < n; j++)
         tot += arr[j];
@@ -299,10 +328,31 @@ static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
                 ns = (int64_t)(hi - size);
                 continue;
             }
-            int64_t v = n_value(e, arr, n, i, ns, p ^ ns,
-                                best == FAIL ? FAIL : best - (p - ns), turns - 1);
-            if (v == FAIL)
-                return FAIL;
+            int64_t v = 0;
+            if (n == 3) {
+                int64_t g = p ^ ns, reply[3];
+                int j = i == 0, k = 2 - (i == 2); /* the other two piles */
+                if ((arr[j] ^ g) > arr[j]) {
+                    j = k;
+                    k = i == 0;
+                }
+                int64_t target = arr[j] ^ g;
+                if (triple(ns, target, arr[k], reply)) {
+                    Slot *t = find(e, pack(reply, 3, 3), 3);
+                    if (t->width) {
+                        e->hits[3]++;
+                        v = t->value;
+                    } else if ((v = search(e, reply, 3, turns - 1)) == FAIL) {
+                        return FAIL;
+                    }
+                }
+                v -= arr[j] - target;
+            } else {
+                v = n_value(e, arr, n, i, ns, p ^ ns, best == FAIL ? FAIL : best - (p - ns),
+                            turns - 1);
+                if (v == FAIL)
+                    return FAIL;
+            }
             v += p - ns;
             if (v > best)
                 best = v;
@@ -326,35 +376,18 @@ static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
     return best;
 }
 
-/* The stripped reply position (x, y, z) of a 3-pile loser-to-move
-   position, descending in out: x the loser's new size, y the winner's
-   target and z the pile neither touched.  Their nim-sum is zero, so if one
-   of x and y is zero the other equals z, and the pair leaves the empty
-   game; otherwise no two are equal, as that would make the third zero, and
-   the triple is three distinct positive piles. */
-static int triple(int64_t x, int64_t y, int64_t z, int64_t *out)
-{
-    if (!x || !y)
-        return 0;
-    int64_t hi = x > y ? x : y, lo = x > y ? y : x;
-    out[0] = hi > z ? hi : z;
-    out[1] = hi < z ? hi : lo > z ? lo : z;
-    out[2] = lo < z ? lo : z;
-    return 3;
-}
-
 /* Value of the winner-to-move position that the loser's ply dropping pile
    i to ns leaves at the stripped position arr, or of arr itself when i is
-   -1 (and ns 0); g is that position's nonzero nim-sum.  Each reply position
+   -1 (and ns 0); g is that position's nonzero nim-sum.  search scores a
+   3-pile loser's ply itself, so i is -1 at 3 piles.  Each reply position
    is built from arr in one merge, so the position between is never built:
    the reply on pile j leaves arr less arr[i] and arr[j], plus ns and the
-   target, with zeros and equal pairs dropped.  At 3 piles that is a sort of
-   the triple of ns, the target and the third pile, 3 - i - j.  Pile i has
-   no reply, as its restoring size is arr[i]; nor has a pile equal to ns, as
-   it would restore the same.  The fold over the replies stops once one
-   scores at most floor and returns that score, an upper bound on the value;
-   a floor of FAIL asks for the exact value.  turns is the budget of the
-   searches below. */
+   target, with zeros and equal pairs dropped.  Pile i has no reply, as its
+   restoring size is arr[i]; nor has a pile equal to ns, as it would
+   restore the same.  The fold over the replies stops once one scores at
+   most floor and returns that score, an upper bound on the value; a floor
+   of FAIL asks for the exact value.  turns is the budget of the searches
+   below. */
 static int64_t n_value(Engine *e, const int64_t *arr, int n, int i, int64_t ns, int64_t g,
                        int64_t floor, int turns)
 {
@@ -364,9 +397,8 @@ static int64_t n_value(Engine *e, const int64_t *arr, int n, int i, int64_t ns, 
         int64_t target = g ^ arr[j];
         if (j == i || target >= arr[j])
             continue;
-        int m = n == 3 && i >= 0 ? triple(ns, target, arr[3 - i - j], buf)
-                : ns > target    ? merge(arr, n, i, j, ns, target, 1, buf)
-                                 : merge(arr, n, i, j, target, ns, 1, buf);
+        int m = ns > target ? merge(arr, n, i, j, ns, target, 1, buf)
+                            : merge(arr, n, i, j, target, ns, 1, buf);
         int64_t v = m ? search(e, buf, m, turns) : 0;
         if (v == FAIL)
             return FAIL;
@@ -481,6 +513,9 @@ static int Engine_init(Engine *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     self->mask = count - 1;
+    self->shift = 64;
+    for (uint64_t c = count; c > 1; c >>= 1)
+        self->shift--;
     self->max_slots = max_slots;
     self->memo_cap = (uint64_t)memo_cap;
     return 0;
@@ -524,18 +559,23 @@ static void sizes(int64_t g, int64_t p, int64_t *lo, int64_t *hi)
 
 /* The tie-break-optimal ply of a nonempty position: the best value, then
    the smallest child as a canonical tuple, then the smallest pile index,
-   then the smallest new size.  Plies are scanned by index and size
-   ascending, so a later ply wins a tie only with a smaller child.  At a
-   loser-to-move position the best value is known from the table, and a
-   ply whose child cannot beat the one found is not scored; the child's
-   fold gets the floor target - take - 1, so a ply that cannot reach the
-   value is dropped on the first reply that proves it short. */
+   then the smallest new size.  Plies are scanned by pile index, then new
+   size, ascending.  Over the first pile of each run of equal piles that
+   order increases in the child: a larger pile's ply changes an earlier
+   field of the descending tuple to something smaller, and a larger new
+   size on one pile gives a larger child.  A ply on any later pile of a
+   run leaves the same child, and takes as much, as the same ply on the
+   run's first pile, scanned before it.  So the first ply of the best value
+   is the pick: the winner keeps the first strict minimum, and the loser,
+   whose value is known from the table, stops at the first ply that
+   reaches it.  Each loser's child's fold gets the floor target - take - 1,
+   so a ply that cannot reach the value is dropped on the first reply that
+   proves it short. */
 static int best_ply(Engine *e, const int64_t *arr, int n, int64_t *value, int *pile,
                     int64_t *size)
 {
     int64_t buf[MAX_N];
     int64_t g = nim_sum(arr, n), target = 0;
-    uint64_t best_key = 0;
     int have = 0;
     if (g == 0 && (target = value_of(e, arr, n, FAIL)) == FAIL)
         return -1;
@@ -544,21 +584,18 @@ static int best_ply(Engine *e, const int64_t *arr, int n, int64_t *value, int *p
         sizes(g, p, &lo, &hi);
         for (int64_t ns = lo; ns < hi; ns++) {
             int m = make_child(arr, n, i, ns, buf);
-            uint64_t key = pack(buf, m, n);
-            if (g == 0 && have && key >= best_key)
-                continue;
             int64_t v = value_of(e, buf, m, g ? FAIL : target - (p - ns) - 1);
             if (v == FAIL)
                 return -1;
             v = g ? v - (p - ns) : v + (p - ns);
-            if (g == 0 ? v != target
-                       : have && (v > *value || (v == *value && key >= best_key)))
+            if (g == 0 ? v != target : have && v >= *value)
                 continue;
             have = 1;
-            best_key = key;
             *value = v;
             *pile = i;
             *size = ns;
+            if (g == 0)
+                return 0;
         }
     }
     if (!have) {
@@ -814,6 +851,10 @@ PyMODINIT_FUNC PyInit__kernel(void)
     PyObject *m = PyModule_Create(&kernel_module);
     if (m == NULL)
         return NULL;
+    if (PyModule_AddStringConstant(m, "SOURCE_SHA256", KERNEL_SOURCE_SHA256) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
     Py_INCREF(&EngineType);
     if (PyModule_AddObject(m, "NativeEngine", (PyObject *)&EngineType) < 0) {
         Py_DECREF(&EngineType);

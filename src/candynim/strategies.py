@@ -138,7 +138,8 @@ def simulate(
     """Play a loser policy to the end and collect the trace.
 
     The winner answers each ply with the unique reply when the position
-    has at most three piles, and with solver-optimal play otherwise.
+    has at most three piles, and otherwise with the first of the solver's
+    ``best_plies``, the first ply of the solver's principal line.
 
     Args:
         pick_ply: loser policy, called on each zero-nim-sum position.
@@ -164,7 +165,7 @@ def simulate(
         if len(pos) <= 3:
             reply = unique_response(pos, ply)
         else:
-            reply = (solver or _default_solver()).solve(after_loser).principal_line[0]
+            reply = (solver or _default_solver()).best_plies(after_loser)[0]
         try:
             after_winner = after_loser.apply(reply)
         except IllegalMoveError as exc:

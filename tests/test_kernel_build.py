@@ -12,9 +12,12 @@ behaviour sanitizer runs the solver tests too, so a signed shift or
 overflow in the search aborts them, and so does a build under the address
 sanitizer, so a write past one of the search's fixed-size stack arrays
 aborts them too; the undefined behaviour sanitizer sees such a write only
-where the compiler knows the array's size at the store.
+where the compiler knows the array's size at the store.  The kernel that the
+rest of the suite imports must be built from the checkout's ``_kernel.c``,
+so a stale in-place build fails here instead of testing an older kernel.
 """
 
+import hashlib
 import os
 import re
 import shutil
@@ -25,7 +28,10 @@ from pathlib import Path
 
 import pytest
 
+from candynim.solver import _kernel
+
 ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "candynim" / "solver" / "_kernel.c"
 TIMEOUT_S = 600
 
 
@@ -144,9 +150,20 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     # -Wmaybe-uninitialized appear only when the optimizer runs
     cmd = [*_cc(), "-std=c11", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-O3",
            "-c", "-o", str(tmp_path / "k.o"), "-I", sysconfig.get_paths()["include"],
-           str(ROOT / "src" / "candynim" / "solver" / "_kernel.c")]
+           str(SOURCE)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=TIMEOUT_S)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(_kernel is None, reason="compiled kernel absent")
+def test_imported_kernel_is_built_from_the_checkout_source():
+    # setup.py builds the kernel with the sha256 of its source; an in-place
+    # build left from an older _kernel.c would silently test the old kernel
+    built = getattr(_kernel, "SOURCE_SHA256", "")
+    assert built == hashlib.sha256(SOURCE.read_bytes()).hexdigest(), (
+        f"{_kernel.__file__} was not built from {SOURCE}; "
+        "rebuild it with `python setup.py build_ext --inplace`"
+    )
 
 
 def test_build_without_a_compiler_installs_pure_python(tmp_path):

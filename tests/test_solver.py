@@ -270,6 +270,36 @@ def test_native_best_plies_matches_python_on_every_small_position():
     assert Solver(engine="native").best_plies(Game([])) == ()
 
 
+# every position of at most 5 piles of at most 9, pairs included, and some
+# pair-heavy games
+TIE_BREAK_GAMES = [
+    Game(c) for r in range(1, 6) for c in combinations_with_replacement(range(1, 10), r)
+] + [Game(c) for c in ([12, 12], [4, 4, 1, 1], [13, 13, 13, 9, 7, 3], [9, 9, 6, 5, 3, 3, 3])]
+
+
+@pytest.mark.parametrize("engine", ["native", "python"])
+def test_first_best_ply_is_the_principal_ply(engine):
+    # plies are scanned by (pile, new size), and the first ply of the best
+    # score is the tie-break's pick: the kernel's line stops at it, and
+    # strategies.simulate replies with it; the Python engine still breaks
+    # the tie by child keys.  Repeated piles break the scan's order in the
+    # child, so the sweep holds many of them
+    if engine == "native" and not kernel_available():
+        pytest.skip("compiled kernel absent")
+    assert len(TIE_BREAK_GAMES) == 2005
+    s = Solver(engine=engine)
+    for g in TIE_BREAK_GAMES:
+        assert s.best_plies(g)[0] == s.solve(g).principal_line[0], g
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_native_lines_match_python_lines_on_the_tie_break_sweep():
+    native = Solver(engine="native")
+    python = Solver(engine="python")
+    for g in TIE_BREAK_GAMES:
+        assert native.solve(g) == python.solve(g), g
+
+
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
 def test_facade_leaves_the_pick_to_the_kernel():
     # a pile past its 31-bit field: native passes on the kernel's error, auto uses Python
@@ -331,6 +361,17 @@ SEARCH_COUNTS = [
     (
         [13, 11, 9, 7, 5, 3, 2],
         [(3, 20, 999, 20), (4, 32, 815, 32), (5, 29, 87, 29), (6, 12, 45, 12), (7, 10, 65, 10)],
+    ),
+    # the seven-pile split of conj-split-improves, the wide search path
+    (
+        [53, 42, 16, 8, 4, 2, 1],
+        [
+            (3, 263, 47091, 263),
+            (4, 1421, 108401, 1421),
+            (5, 3247, 133589, 3247),
+            (6, 3354, 104198, 3354),
+            (7, 1268, 34453, 1268),
+        ],
     ),
 ]
 
