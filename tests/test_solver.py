@@ -349,18 +349,35 @@ def test_native_stats_rows_split_one_table_by_width():
 
 # (width, entries, hits, misses) per stats() row after one value() on a
 # fresh kernel: a change to the cost of a searched ply must leave the
-# search itself, which plies it searches and in what order, as it is
+# search itself, which plies it searches and in what order, as it is.  Then
+# what solve() and best_plies() add on the same solver, one row per width:
+# a change to how the kernel scans a position's plies must leave which
+# plies it scores, and under which floors, as they are
 SEARCH_COUNTS = [
-    ([968, 600, 400], [(3, 67105, 6631146, 67105)]),
-    ([31, 42, 53], [(3, 331, 7874, 331)]),
-    ([1, 5, 16, 20], [(3, 30, 322, 30), (4, 23, 141, 23)]),
+    (
+        [968, 600, 400],
+        [(3, 67105, 6631146, 67105)],
+        [(3, 4203, 446405, 4203)],
+        [(3, 0, 1963, 0)],
+    ),
+    ([31, 42, 53], [(3, 331, 7874, 331)], [(3, 0, 490, 0)], [(3, 0, 121, 0)]),
+    (
+        [1, 5, 16, 20],
+        [(3, 30, 322, 30), (4, 23, 141, 23)],
+        [(3, 0, 15, 0), (4, 0, 51, 0)],
+        [(3, 0, 8, 0), (4, 0, 29, 0)],
+    ),
     (
         [20, 18, 12, 9, 7, 4],
         [(3, 44, 5694, 44), (4, 141, 10354, 141), (5, 197, 3832, 197), (6, 287, 4316, 287)],
+        [(3, 0, 85, 0), (4, 0, 171, 0), (5, 4, 89, 4), (6, 0, 29, 0)],
+        [(3, 0, 0, 0), (4, 0, 32, 0), (5, 0, 11, 0), (6, 0, 29, 0)],
     ),
     (
         [13, 11, 9, 7, 5, 3, 2],
         [(3, 20, 999, 20), (4, 32, 815, 32), (5, 29, 87, 29), (6, 12, 45, 12), (7, 10, 65, 10)],
+        [(3, 0, 46, 0), (4, 0, 32, 0), (5, 0, 4, 0), (6, 0, 2, 0), (7, 0, 11, 0)],
+        [(3, 0, 0, 0), (4, 0, 0, 0), (5, 0, 2, 0), (6, 0, 0, 0), (7, 0, 1, 0)],
     ),
     # the seven-pile split of conj-split-improves, the wide search path
     (
@@ -372,18 +389,37 @@ SEARCH_COUNTS = [
             (6, 3354, 104198, 3354),
             (7, 1268, 34453, 1268),
         ],
+        [(3, 0, 3, 0), (4, 0, 3, 0), (5, 0, 3, 0), (6, 0, 3, 0), (7, 0, 1, 0)],
+        [(3, 0, 0, 0), (4, 0, 0, 0), (5, 0, 42, 0), (6, 0, 14, 0), (7, 0, 71, 0)],
     ),
 ]
 
 
+def _count_rows(s: Solver) -> list:
+    return [(int(row["engine"][7:-1]), row["entries"], row["hits"], row["misses"])
+            for row in s.stats()]
+
+
+def _added(before: list, after: list) -> list:
+    """Per-width rows of ``after`` less those of ``before``."""
+    base = {w: counts for w, *counts in before}
+    return [(w, *(a - b for a, b in zip(counts, base.get(w, (0, 0, 0)))))
+            for w, *counts in after]
+
+
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
-@pytest.mark.parametrize("piles,rows", SEARCH_COUNTS)
-def test_native_search_counts_are_pinned(piles, rows):
+@pytest.mark.parametrize("piles,rows,line_rows,best_rows", SEARCH_COUNTS)
+def test_native_search_counts_are_pinned(piles, rows, line_rows, best_rows):
     s = Solver(engine="native")
-    s.value(Game(piles))
-    got = [(int(row["engine"][7:-1]), row["entries"], row["hits"], row["misses"])
-           for row in s.stats()]
+    g = Game(piles)
+    s.value(g)
+    got = _count_rows(s)
     assert got == rows
+    s.solve(g)
+    after_line = _count_rows(s)
+    assert _added(got, after_line) == line_rows
+    s.best_plies(g)
+    assert _added(after_line, _count_rows(s)) == best_rows
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
