@@ -107,16 +107,31 @@ def _env(name: str) -> Optional[str]:
     return os.environ.get(ENV_PREFIX + name)
 
 
+def ascii_int(text: str) -> int:
+    """``int(text)`` on ASCII digits only, as game notation reads them.
+
+    The type of every integer argument and the parser of the integer
+    environment fallbacks.  A sign and surrounding ASCII whitespace are
+    taken, as ``int`` takes them; other scripts' digits, ``_`` separators
+    and non-ASCII whitespace, which ``int`` takes too, raise ValueError.
+    """
+    body = text.strip(_SPACE)
+    digits = body[1:] if body.startswith(("+", "-")) else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(body)
+
+
 def _resolve_config(args: argparse.Namespace) -> CliConfig:
     fmt = args.format or _env("FORMAT") or "text"
     profile = args.profile or _env("PROFILE") or "desk"
     engine = args.engine or _env("ENGINE") or "auto"
     try:
-        pile_cap = args.pile_cap if args.pile_cap is not None else int(
-            _env("PILE_CAP") or DEFAULT_PILE_CAP
+        pile_cap = args.pile_cap if args.pile_cap is not None else ascii_int(
+            _env("PILE_CAP") or str(DEFAULT_PILE_CAP)
         )
-        memo_cap = args.memo_cap if args.memo_cap is not None else int(
-            _env("MEMO_CAP") or DEFAULT_MEMO_CAP
+        memo_cap = args.memo_cap if args.memo_cap is not None else ascii_int(
+            _env("MEMO_CAP") or str(DEFAULT_MEMO_CAP)
         )
     except ValueError as exc:
         raise ValueError(f"bad cap in environment: {exc}") from exc
@@ -146,9 +161,9 @@ def _add_common(p: argparse.ArgumentParser, trailing: bool) -> None:
                    help="output format (default text, env CANDYNIM_FORMAT)")
     p.add_argument("--profile", choices=PROFILES, default=d,
                    help="budget profile for sweeps (default desk, env CANDYNIM_PROFILE)")
-    p.add_argument("--pile-cap", type=int, default=d,
+    p.add_argument("--pile-cap", type=ascii_int, default=d,
                    help="largest pile size accepted (env CANDYNIM_PILE_CAP)")
-    p.add_argument("--memo-cap", type=int, default=d,
+    p.add_argument("--memo-cap", type=ascii_int, default=d,
                    help="transposition table entry budget (env CANDYNIM_MEMO_CAP)")
     p.add_argument("--engine", choices=ENGINES, default=d,
                    help="solver engine selection (default auto, env CANDYNIM_ENGINE)")
@@ -186,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, trailing=True)
 
     sp = sub.add_parser("allocate", help="zero-nim-sum arrangement minimizing winner candies")
-    sp.add_argument("total", type=int, help="even candy total to arrange")
+    sp.add_argument("total", type=ascii_int, help="even candy total to arrange")
     sp.add_argument("--method", choices=("auto", "equality", "five-pile", "exhaustive"),
                     default="auto")
     _add_common(sp, trailing=True)

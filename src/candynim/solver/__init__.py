@@ -5,12 +5,13 @@ a native kernel over a flat table of packed 64-bit keys, and the
 pure-Python engine in :mod:`candynim.solver._python`.  Both implement
 the same recursion and the same tie-break, so every result is
 engine-independent; ``auto`` runs a game on the kernel whenever
-``_kernel.fits`` it.  Each engine answers four calls: ``solve_value``
-for a value, ``line`` for a principal line, ``scores`` for the score of
-every candidate ply of a position, and ``best_plies`` for the plies of
-the best of those scores, the one call behind :meth:`Solver.best_plies`.
-The kernel picks those plies in C, scoring each under the floor that the
-value sets; the Python engine picks them from its ``scores``.
+``_kernel.fits`` it.  Each engine answers three calls: ``solve_value``
+for a value, ``line`` for a principal line, and ``best_plies`` for the
+plies of the best score among a position's candidate plies, the one call
+behind :meth:`Solver.best_plies`.  Each engine scans a position's plies
+in one loop, which serves both ``line`` and ``best_plies``: the kernel's
+``score_plies`` in C, scoring each ply under the floor that the value
+sets, and the Python engine's exact ``scores``.
 
 The kernel, ``candynim.solver._kernel``, is the hand-written C extension
 ``_kernel.c``; building it needs a C compiler.  Where it was not built,

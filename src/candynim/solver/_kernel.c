@@ -38,12 +38,13 @@
      piles are distinct and positive, already stripped.  pack shifts by
      constants there, and block_bound reads the two other piles with no
      loop.  Other widths keep the general code.
-   - line() and best_plies() know the value of each loser-to-move position
-     they score plies at, so a ply is scored only up to the point that it
-     cannot reach that value: the winner's fold stops on the first reply
-     that proves it short.  scores() stays exact.  Plies are scanned by
-     pile index, then new size, so the first ply of the best score is the
-     tie-break's pick, and line() stops at it; best_ply says why.
+   - line() and best_plies() scan a position's plies through one loop,
+     score_plies.  They know the value of each loser-to-move position they
+     score plies at, so a ply is scored only up to the point that it cannot
+     reach that value: the winner's fold stops on the first reply that
+     proves it short.  Plies are scanned by pile index, then new size, so
+     the first ply of the best score is the tie-break's pick, and line()
+     stops at it; keep_first says why.
 
    The table is one flat array per engine: 16-byte slots, linear probing
    over a power-of-two size, and a multiplicative (Fibonacci) hash that
@@ -168,22 +169,19 @@ static int64_t nim_sum(const int64_t *arr, int n)
     return g;
 }
 
-/* arr packed into slots fields of 62 / slots bits, missing piles as zeros.
-   Packed keys of one slot count order like canonical tuples.  A full
-   3-pile key, the paper's width and about half of a cold table, is packed
-   with constant shifts into the same 20-bit fields. */
-static uint64_t pack(const int64_t *arr, int n, int slots)
+/* arr packed into n fields of 62 / n bits.  Packed keys of one width order
+   like canonical tuples.  A 3-pile key, the paper's width and about half of
+   a cold table, is packed with constant shifts into the same 20-bit
+   fields. */
+static uint64_t pack(const int64_t *arr, int n)
 {
-    if (n == 3 && slots == 3)
+    if (n == 3)
         return (uint64_t)arr[0] << 2 * (KEY_BITS / 3) | (uint64_t)arr[1] << KEY_BITS / 3 |
                (uint64_t)arr[2];
-    int bits = FIELD_BITS[slots];
+    int bits = FIELD_BITS[n];
     uint64_t key = 0;
-    for (int j = 0; j < slots; j++) {
-        key <<= bits;
-        if (j < n)
-            key |= (uint64_t)arr[j];
-    }
+    for (int j = 0; j < n; j++)
+        key = key << bits | (uint64_t)arr[j];
     return key;
 }
 
@@ -288,7 +286,7 @@ static int triple(int64_t x, int64_t y, int64_t z, int64_t *out)
    with turns nested searches left. */
 static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
 {
-    uint64_t key = pack(arr, n, n);
+    uint64_t key = pack(arr, n);
     Slot *s = find(e, key, n);
     if (s->width) {
         e->hits[n]++;
@@ -338,7 +336,7 @@ static int64_t search(Engine *e, const int64_t *arr, int n, int turns)
                 }
                 int64_t target = arr[j] ^ g;
                 if (triple(ns, target, arr[k], reply)) {
-                    Slot *t = find(e, pack(reply, 3, 3), 3);
+                    Slot *t = find(e, pack(reply, 3), 3);
                     if (t->width) {
                         e->hits[3]++;
                         v = t->value;
@@ -557,52 +555,64 @@ static void sizes(int64_t g, int64_t p, int64_t *lo, int64_t *hi)
     *hi = !g ? p : *lo < p ? *lo + 1 : *lo;
 }
 
-/* The tie-break-optimal ply of a nonempty position: the best value, then
-   the smallest child as a canonical tuple, then the smallest pile index,
-   then the smallest new size.  Plies are scanned by pile index, then new
-   size, ascending.  Over the first pile of each run of equal piles that
-   order increases in the child: a larger pile's ply changes an earlier
-   field of the descending tuple to something smaller, and a larger new
-   size on one pile gives a larger child.  A ply on any later pile of a
-   run leaves the same child, and takes as much, as the same ply on the
-   run's first pile, scanned before it.  So the first ply of the best value
-   is the pick: the winner keeps the first strict minimum, and the loser,
-   whose value is known from the table, stops at the first ply that
-   reaches it.  Each loser's child's fold gets the floor target - take - 1,
-   so a ply that cannot reach the value is dropped on the first reply that
-   proves it short. */
-static int best_ply(Engine *e, const int64_t *arr, int n, int64_t *value, int *pile,
-                    int64_t *size)
+/* The one scoring loop: keep(acc, i, ns, score) sees every candidate ply
+   of arr, in the order of _python._plies: pile index, then new size,
+   ascending.  A ply scores the candies it takes plus the child's value when
+   the loser moves, minus it when the winner moves.  At a loser-to-move
+   position of known value target, each child's fold gets the floor
+   target - take - 1, so a ply that cannot reach the value gets a score
+   below it, not its exact one; a target of FAIL scores every ply exactly.
+   keep returns 1 to stop the scan, or -1, with a Python error set, to fail
+   it; score_plies returns the same. */
+static int score_plies(Engine *e, const int64_t *arr, int n, int64_t target,
+                       int (*keep)(void *acc, int i, int64_t ns, int64_t score), void *acc)
 {
     int64_t buf[MAX_N];
-    int64_t g = nim_sum(arr, n), target = 0;
-    int have = 0;
-    if (g == 0 && (target = value_of(e, arr, n, FAIL)) == FAIL)
-        return -1;
+    int64_t g = nim_sum(arr, n), lo, hi;
     for (int i = 0; i < n; i++) {
-        int64_t p = arr[i], lo, hi;
+        int64_t p = arr[i];
         sizes(g, p, &lo, &hi);
         for (int64_t ns = lo; ns < hi; ns++) {
             int m = make_child(arr, n, i, ns, buf);
-            int64_t v = value_of(e, buf, m, g ? FAIL : target - (p - ns) - 1);
+            int64_t v = value_of(e, buf, m, target == FAIL ? FAIL : target - (p - ns) - 1);
             if (v == FAIL)
                 return -1;
-            v = g ? v - (p - ns) : v + (p - ns);
-            if (g == 0 ? v != target : have && v >= *value)
-                continue;
-            have = 1;
-            *value = v;
-            *pile = i;
-            *size = ns;
-            if (g == 0)
-                return 0;
+            int stop = keep(acc, i, ns, p - ns + (g ? -v : v));
+            if (stop)
+                return stop;
         }
     }
-    if (!have) {
-        PyErr_SetString(InvariantError, "no optimal ply found");
-        return -1;
-    }
     return 0;
+}
+
+typedef struct {
+    int64_t target; /* the loser's known value; FAIL when the winner moves */
+    int64_t score;  /* the pick's score; FAIL until a ply is picked */
+    int pile;
+    int64_t size;
+} First;
+
+/* Keep the tie-break-optimal ply of a nonempty position: the best score,
+   then the smallest child as a canonical tuple, then the smallest pile
+   index, then the smallest new size.  Plies come by pile index, then new
+   size, ascending.  Over the first pile of each run of equal piles that
+   order increases in the child: a larger pile's ply changes an earlier
+   field of the descending tuple to something smaller, and a larger new
+   size on one pile gives a larger child.  A ply on any later pile of a run
+   leaves the same child, and takes as much, as the same ply on the run's
+   first pile, scanned before it.  So the first ply of the best score is the
+   pick: the winner keeps the first strict maximum, and the loser, whose
+   score is its value, known from the table, stops the scan at the first
+   ply that reaches it. */
+static int keep_first(void *acc, int i, int64_t ns, int64_t score)
+{
+    First *f = acc;
+    if (f->target == FAIL ? score <= f->score : score != f->target)
+        return 0;
+    f->score = score;
+    f->pile = i;
+    f->size = ns;
+    return f->target != FAIL;
 }
 
 static PyObject *Engine_line(PyObject *self, PyObject *piles)
@@ -617,90 +627,30 @@ static PyObject *Engine_line(PyObject *self, PyObject *piles)
         return NULL;
     int64_t root = 0;
     for (int step = 0; n; step++) {
-        int64_t v = 0, ns = 0;
-        int i = 0;
-        if (best_ply(e, arr, n, &v, &i, &ns) < 0)
+        First f = {FAIL, FAIL, 0, 0};
+        if (nim_sum(arr, n) == 0 && (f.target = value_of(e, arr, n, FAIL)) == FAIL)
             goto fail;
+        if (score_plies(e, arr, n, f.target, keep_first, &f) < 0)
+            goto fail;
+        if (f.score == FAIL) {
+            PyErr_SetString(InvariantError, "no optimal ply found");
+            goto fail;
+        }
         if (step == 0)
-            root = v;
-        PyObject *ply = Py_BuildValue("(iL)", i, (long long)ns);
+            root = f.target == FAIL ? -f.score : f.score;
+        PyObject *ply = Py_BuildValue("(iL)", f.pile, (long long)f.size);
         if (ply == NULL || PyList_Append(plies, ply) < 0) {
             Py_XDECREF(ply);
             goto fail;
         }
         Py_DECREF(ply);
-        n = make_child(arr, n, i, ns, buf);
+        n = make_child(arr, n, f.pile, f.size, buf);
         memcpy(arr, buf, n * sizeof(int64_t));
     }
     return Py_BuildValue("(LN)", (long long)root, plies);
 fail:
     Py_DECREF(plies);
     return NULL;
-}
-
-/* The one scoring loop: keep(acc, i, ns, score) sees every candidate ply
-   of arr, in the order of _python._plies: pile index, then new size,
-   ascending.  A ply scores the candies it takes plus the child's value when
-   the loser moves, minus it when the winner moves.  At a loser-to-move
-   position of known value target, each child's fold gets the floor
-   target - take - 1, as in best_ply, so a ply that cannot reach the value
-   gets a score below it, not its exact one; a target of FAIL scores every
-   ply exactly.  keep returns -1, with a Python error set, to stop. */
-static int score_plies(Engine *e, const int64_t *arr, int n, int64_t target,
-                       int (*keep)(void *acc, int i, int64_t ns, int64_t score), void *acc)
-{
-    int64_t buf[MAX_N];
-    int64_t g = nim_sum(arr, n), lo, hi;
-    for (int i = 0; i < n; i++) {
-        int64_t p = arr[i];
-        sizes(g, p, &lo, &hi);
-        for (int64_t ns = lo; ns < hi; ns++) {
-            int m = make_child(arr, n, i, ns, buf);
-            int64_t v = value_of(e, buf, m, target == FAIL ? FAIL : target - (p - ns) - 1);
-            if (v == FAIL || keep(acc, i, ns, p - ns + (g ? -v : v)) < 0)
-                return -1;
-        }
-    }
-    return 0;
-}
-
-typedef struct {
-    PyObject *list;
-    Py_ssize_t k;
-} Scores;
-
-static int keep_score(void *acc, int Py_UNUSED(i), int64_t Py_UNUSED(ns), int64_t score)
-{
-    Scores *s = acc;
-    PyObject *item = PyLong_FromLongLong(score);
-    if (item == NULL)
-        return -1;
-    PyList_SET_ITEM(s->list, s->k++, item);
-    return 0;
-}
-
-/* The exact score of every candidate ply, in the order of _python._plies. */
-static PyObject *Engine_scores(PyObject *self, PyObject *piles)
-{
-    Engine *e = ready(self);
-    int64_t arr[MAX_N];
-    int n = e ? load(piles, arr) : -1;
-    if (n < 0)
-        return NULL;
-    int64_t g = nim_sum(arr, n), lo, hi;
-    Py_ssize_t count = 0;
-    for (int i = 0; i < n; i++) {
-        sizes(g, arr[i], &lo, &hi);
-        count += hi - lo;
-    }
-    Scores acc = {PyList_New(count), 0};
-    if (acc.list == NULL)
-        return NULL;
-    if (score_plies(e, arr, n, FAIL, keep_score, &acc) < 0) {
-        Py_DECREF(acc.list);
-        return NULL;
-    }
-    return acc.list;
 }
 
 typedef struct {
@@ -791,8 +741,6 @@ static PyMethodDef Engine_methods[] = {
     {"line", Engine_line, METH_O,
      "(value, plies): the principal line as (pile_index, new_size) pairs, "
      "each against the canonical position it is played in."},
-    {"scores", Engine_scores, METH_O,
-     "The score of every candidate ply, in the order of _python._plies."},
     {"best_plies", Engine_best_plies, METH_O,
      "The (pile_index, new_size) pairs of the best score, in the order of "
      "_python._plies."},

@@ -55,23 +55,10 @@ def _best_plies(piles: tuple, scores: list) -> list:
 
     ``scores`` holds one score per ply in :func:`_plies` order, as
     :meth:`PyEngine.scores` gives them; the plies come back as
-    ``(pile_index, new_size)`` in that order.  At a zero nim-sum position
-    pile ``i`` owns the ``piles[i]`` scores after those of the piles
-    before it, one per new size, so each best score's index decodes to
-    its ply; a winner has at most one ply per pile, and those are zipped.
+    ``(pile_index, new_size)`` in that order.
     """
     best = max(scores)
-    g = nim_sum(piles)
-    if g:
-        return [ply for ply, score in zip(_plies(piles, g), scores) if score == best]
-    out, i, start, k = [], 0, 0, -1
-    for _ in range(scores.count(best)):
-        k = scores.index(best, k + 1)
-        while k - start >= piles[i]:
-            start += piles[i]
-            i += 1
-        out.append((i, k - start))
-    return out
+    return [ply for ply, score in zip(_plies(piles, nim_sum(piles)), scores) if score == best]
 
 
 def _best_entry(piles: tuple, scores: list) -> tuple:
@@ -92,9 +79,10 @@ class PyEngine:
     ``table`` is a plain dict from each solved loser-to-move position to
     its value.  It raises :class:`MemoBudgetError` instead of growing
     past ``cap`` entries; ``hits`` and ``misses`` count the table probes
-    of :meth:`_search`.  :meth:`scores` is the one call that scores every
-    candidate ply of a position; :meth:`best_plies` keeps the plies of the
-    best score, and :meth:`line` walks the principal ply that
+    of :meth:`_search`.  :meth:`scores` is the engine's one scan of a
+    position's plies, as ``score_plies`` is the kernel's, and it scores
+    every ply exactly; :meth:`best_plies` keeps the plies of the best
+    score, and :meth:`line` walks the principal ply that
     :func:`_best_entry` picks from those scores down to the empty game.
     """
 

@@ -260,6 +260,38 @@ def test_env_bad_cap_is_usage_error(monkeypatch):
     assert run(["solve", "[1,2,3]"])[0] == 2
 
 
+# int() takes other scripts' digits, "_" separators and non-ASCII space;
+# game and point notation refuse them, and so does every integer argument
+NOT_ASCII_INTS = ["١٠", "1_0", "\u00a010", "٥٠"]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTS)
+@pytest.mark.parametrize("argv", [
+    ["allocate", "{}"],
+    ["solve", "[1,2,3]", "--pile-cap", "{}"],
+    ["solve", "[1,2,3]", "--memo-cap", "{}"],
+])
+def test_integer_arguments_take_ascii_digits_only(argv, text):
+    with pytest.raises(SystemExit) as e:
+        run([arg.format(text) for arg in argv])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTS + ["1_000"])
+@pytest.mark.parametrize("name", ["CANDYNIM_PILE_CAP", "CANDYNIM_MEMO_CAP"])
+def test_integer_environment_takes_ascii_digits_only(monkeypatch, name, text):
+    monkeypatch.setenv(name, text)
+    assert run(["solve", "[1,2,3]"])[0] == 2
+
+
+def test_integer_arguments_keep_the_sign_and_ascii_space_int_takes(monkeypatch):
+    assert run(["allocate", " +10\t"]) == run(["allocate", "10"])
+    assert run(["allocate", "--", "-4"])[0] == 2  # need total >= 2
+    monkeypatch.setenv("CANDYNIM_MEMO_CAP", " 1000\n")
+    assert run(["solve", "[1,2,3]"]) == (0, "value 2\n3->0 2->1 1->0 1->0\n")
+    assert run(["solve", "[1,2,3]", "--pile-cap", "+2"])[0] == 3
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CliConfig(output_format="yaml")

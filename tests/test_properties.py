@@ -2,7 +2,6 @@
 
 from collections import Counter
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +15,7 @@ from candynim.core import (
     xor_adjacent,
 )
 from candynim.errors import IllegalMoveError, ParseError
-from candynim.solver import Solver, kernel_available, solve
-from candynim.solver._python import _best_plies, _plies
+from candynim.solver import Solver, solve
 
 small_piles = st.lists(st.integers(min_value=0, max_value=9), max_size=5)
 
@@ -223,38 +221,3 @@ def test_parse_matches_game_of_its_fields(piles, data):
     parsed = Game.parse(text)
     assert parsed == Game(piles)
     assert type(parsed.piles) is tuple
-
-
-def _best_plies_reference(piles, scores):
-    """``_best_plies`` by its definition: every candidate ply, zipped with its score."""
-    return [ply for ply, s in zip(_plies(piles, nim_sum(piles)), scores) if s == max(scores)]
-
-
-@pytest.fixture(scope="module")
-def solvers():
-    """One solver per engine, shared by every example of a property."""
-    native = Solver(engine="native") if kernel_available() else None
-    return {"python": Solver(engine="python"), "native": native}
-
-
-@pytest.mark.parametrize("engine", ["python", "native"])
-@settings(max_examples=80, deadline=None)
-@given(small_piles, st.booleans())
-def test_best_plies_decode_matches_the_zip_definition(solvers, engine, piles, closed):
-    if solvers[engine] is None:
-        pytest.skip("compiled kernel absent")
-    g = _p_position(piles) if closed else Game(piles)
-    assume(g and g.total <= 20)
-    scores = solvers[engine]._run("scores", g)
-    assert _best_plies(g.piles, scores) == _best_plies_reference(g.piles, scores)
-
-
-@settings(max_examples=150, deadline=None)
-@given(repeating_piles, st.data())
-def test_best_plies_decode_keeps_every_tie(piles, data):
-    # scores from {0, 1, 2} tie often, across pile boundaries too
-    g = Game(piles)
-    assume(g)
-    n = len(list(_plies(g.piles, g.grundy)))
-    scores = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    assert _best_plies(g.piles, scores) == _best_plies_reference(g.piles, scores)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candynim.cli import dispatch
-from candynim.core import Game, Ply, loser_moves, nim_sum, winning_moves
+from candynim.core import Game, Ply, _child, loser_moves, nim_sum, winning_moves
 from candynim.errors import BudgetError, EngineError, MemoBudgetError, PileCapError
 from candynim.solver import (
     DEFAULT_MEMO_CAP,
@@ -21,7 +21,7 @@ from candynim.solver import (
     solve,
 )
 import candynim.solver as solver_mod
-from candynim.solver._python import PyEngine, _best_entry
+from candynim.solver._python import PyEngine, _best_entry, _plies
 from candynim.allocation import _partitions
 
 # values pinned by hand-checked play-throughs and small-case enumeration
@@ -99,6 +99,18 @@ def test_two_fresh_solvers_agree():
     assert a == b
 
 
+def _native_scores(native: Solver, piles: tuple) -> list:
+    """The exact score of every candidate ply from kernel values, in ``_plies`` order.
+
+    Each child is valued by the kernel's ``solve_value``, so each score is
+    what ``PyEngine.scores`` gives for that ply when the engines agree.
+    """
+    g = nim_sum(piles)
+    sign = 1 if g == 0 else -1
+    return [piles[i] - new + sign * native._native.solve_value(_child(piles, i, new))
+            for i, new in _plies(piles, g)]
+
+
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
 def test_engine_parity_on_small_sweep():
     native = Solver(engine="native")
@@ -115,7 +127,7 @@ def test_engine_parity_on_small_sweep():
     for g in small + wide:
         assert native.solve(g) == python.solve(g)
         assert native.best_plies(g) == python.best_plies(g)
-        assert native._native.scores(g.piles) == python._py.scores(g.piles)
+        assert _native_scores(native, g.piles) == python._py.scores(g.piles)
 
 
 def _closed(piles: list, close: bool) -> list:
@@ -145,7 +157,7 @@ def test_pruned_kernel_matches_the_plain_engine_above_the_sweep(warm_engines, pi
     g = Game(piles)
     assert native.solve(g) == python.solve(g)
     assert native.best_plies(g) == python.best_plies(g)
-    assert native._native.scores(g.piles) == python._py.scores(g.piles)
+    assert _native_scores(native, g.piles) == python._py.scores(g.piles)
 
 
 # 3-pile P and N positions with one pile of 33-90, some with a small equal
@@ -168,7 +180,7 @@ def test_kernel_block_skips_match_the_plain_engine_on_tall_piles(warm_engines, p
     g = Game(piles)
     assert native.solve(g) == python.solve(g)
     assert native.best_plies(g) == python.best_plies(g)
-    assert native._native.scores(g.piles) == python._py.scores(g.piles)
+    assert _native_scores(native, g.piles) == python._py.scores(g.piles)
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
@@ -233,18 +245,18 @@ def test_native_memo_cap_matches_the_python_engine():
         ((1,) * 32, "kernel takes at most 31 piles, got 32"),
     ],
 )
-def test_native_scores_rejects_what_line_rejects(piles, message):
+def test_native_solve_value_rejects_what_line_rejects(piles, message):
     eng = solver_mod._kernel.NativeEngine(100)
     with pytest.raises(EngineError, match=message) as line:
         eng.line(piles)
-    with pytest.raises(EngineError, match=message) as scores:
-        eng.scores(piles)
-    assert str(scores.value) == str(line.value)
+    with pytest.raises(EngineError, match=message) as value:
+        eng.solve_value(piles)
+    assert str(value.value) == str(line.value)
     with pytest.raises(EngineError, match=message) as best:
         eng.best_plies(piles)
     assert str(best.value) == str(line.value)
     assert not solver_mod._kernel.fits(piles)
-    assert eng.scores(()) == PyEngine(1).scores(()) == []
+    assert eng.solve_value(()) == PyEngine(1).solve_value(()) == 0
     assert eng.best_plies(()) == PyEngine(1).best_plies(()) == []
 
 
@@ -349,35 +361,18 @@ def test_native_stats_rows_split_one_table_by_width():
 
 # (width, entries, hits, misses) per stats() row after one value() on a
 # fresh kernel: a change to the cost of a searched ply must leave the
-# search itself, which plies it searches and in what order, as it is.  Then
-# what solve() and best_plies() add on the same solver, one row per width:
-# a change to how the kernel scans a position's plies must leave which
-# plies it scores, and under which floors, as they are
+# search itself, which plies it searches and in what order, as it is
 SEARCH_COUNTS = [
-    (
-        [968, 600, 400],
-        [(3, 67105, 6631146, 67105)],
-        [(3, 4203, 446405, 4203)],
-        [(3, 0, 1963, 0)],
-    ),
-    ([31, 42, 53], [(3, 331, 7874, 331)], [(3, 0, 490, 0)], [(3, 0, 121, 0)]),
-    (
-        [1, 5, 16, 20],
-        [(3, 30, 322, 30), (4, 23, 141, 23)],
-        [(3, 0, 15, 0), (4, 0, 51, 0)],
-        [(3, 0, 8, 0), (4, 0, 29, 0)],
-    ),
+    ([968, 600, 400], [(3, 67105, 6631146, 67105)]),
+    ([31, 42, 53], [(3, 331, 7874, 331)]),
+    ([1, 5, 16, 20], [(3, 30, 322, 30), (4, 23, 141, 23)]),
     (
         [20, 18, 12, 9, 7, 4],
         [(3, 44, 5694, 44), (4, 141, 10354, 141), (5, 197, 3832, 197), (6, 287, 4316, 287)],
-        [(3, 0, 85, 0), (4, 0, 171, 0), (5, 4, 89, 4), (6, 0, 29, 0)],
-        [(3, 0, 0, 0), (4, 0, 32, 0), (5, 0, 11, 0), (6, 0, 29, 0)],
     ),
     (
         [13, 11, 9, 7, 5, 3, 2],
         [(3, 20, 999, 20), (4, 32, 815, 32), (5, 29, 87, 29), (6, 12, 45, 12), (7, 10, 65, 10)],
-        [(3, 0, 46, 0), (4, 0, 32, 0), (5, 0, 4, 0), (6, 0, 2, 0), (7, 0, 11, 0)],
-        [(3, 0, 0, 0), (4, 0, 0, 0), (5, 0, 2, 0), (6, 0, 0, 0), (7, 0, 1, 0)],
     ),
     # the seven-pile split of conj-split-improves, the wide search path
     (
@@ -389,10 +384,29 @@ SEARCH_COUNTS = [
             (6, 3354, 104198, 3354),
             (7, 1268, 34453, 1268),
         ],
+    ),
+]
+
+# the rows that solve() and then best_plies() add to those, on the same
+# solver: a change to how the kernel scans a position's plies must leave
+# which plies it scores, and under which floors, as they are
+LINE_AND_BEST_COUNTS = {
+    (968, 600, 400): ([(3, 4203, 446405, 4203)], [(3, 0, 1963, 0)]),
+    (31, 42, 53): ([(3, 0, 490, 0)], [(3, 0, 121, 0)]),
+    (1, 5, 16, 20): ([(3, 0, 15, 0), (4, 0, 51, 0)], [(3, 0, 8, 0), (4, 0, 29, 0)]),
+    (20, 18, 12, 9, 7, 4): (
+        [(3, 0, 85, 0), (4, 0, 171, 0), (5, 4, 89, 4), (6, 0, 29, 0)],
+        [(3, 0, 0, 0), (4, 0, 32, 0), (5, 0, 11, 0), (6, 0, 29, 0)],
+    ),
+    (13, 11, 9, 7, 5, 3, 2): (
+        [(3, 0, 46, 0), (4, 0, 32, 0), (5, 0, 4, 0), (6, 0, 2, 0), (7, 0, 11, 0)],
+        [(3, 0, 0, 0), (4, 0, 0, 0), (5, 0, 2, 0), (6, 0, 0, 0), (7, 0, 1, 0)],
+    ),
+    (53, 42, 16, 8, 4, 2, 1): (
         [(3, 0, 3, 0), (4, 0, 3, 0), (5, 0, 3, 0), (6, 0, 3, 0), (7, 0, 1, 0)],
         [(3, 0, 0, 0), (4, 0, 0, 0), (5, 0, 42, 0), (6, 0, 14, 0), (7, 0, 71, 0)],
     ),
-]
+}
 
 
 def _count_rows(s: Solver) -> list:
@@ -408,13 +422,14 @@ def _added(before: list, after: list) -> list:
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
-@pytest.mark.parametrize("piles,rows,line_rows,best_rows", SEARCH_COUNTS)
-def test_native_search_counts_are_pinned(piles, rows, line_rows, best_rows):
+@pytest.mark.parametrize("piles,rows", SEARCH_COUNTS)
+def test_native_search_counts_are_pinned(piles, rows):
     s = Solver(engine="native")
     g = Game(piles)
     s.value(g)
     got = _count_rows(s)
     assert got == rows
+    line_rows, best_rows = LINE_AND_BEST_COUNTS[tuple(piles)]
     s.solve(g)
     after_line = _count_rows(s)
     assert _added(got, after_line) == line_rows
