@@ -163,29 +163,28 @@ def five_pile_construct(total: int, solver: Optional[Solver] = None) -> Allocati
     _require_even(total)
     if total < 4:
         raise ValueError(f"need total >= 4, got {total}")
-    candidates: list[tuple[str, Game]] = []
 
-    def pad(tag: str, family: Game) -> None:
-        # the rest of the total goes to a duplicate pair; Game drops [0, 0]
-        d = (total - family.total) // 2
-        candidates.append((tag, Game(family.piles + (d, d))))
-
-    if total >= 16:
-        split = (total.bit_length() - 1) // 2
-        high = total & ~((1 << split) - 1)
-        m = high // 2**split - 1
-        pad("five-pile-template", g_family_realize(2 ** (split - 1) - 1, m, 0))
-    for j in range(1, total.bit_length()):
-        a = 2**j - 1
-        m = 1
-        while 2 ** (j + 1) * (m + 1) - 2 <= total:
-            pad("five-pile-repair", g_family_realize(a, m, 0))
-            m += 1
-    pad("five-pile-repair", Game())
+    def families() -> Iterator[tuple[str, Game]]:
+        if total >= 16:
+            split = (total.bit_length() - 1) // 2
+            high = total & ~((1 << split) - 1)
+            m = high // 2**split - 1
+            yield "five-pile-template", g_family_realize(2 ** (split - 1) - 1, m, 0)
+        for j in range(1, total.bit_length()):
+            a = 2**j - 1
+            m = 1
+            while 2 ** (j + 1) * (m + 1) - 2 <= total:
+                yield "five-pile-repair", g_family_realize(a, m, 0)
+                m += 1
+        yield "five-pile-repair", Game()
 
     cap = five_pile_upper(total)
     within: list[AllocationResult] = []
-    for tag, game in candidates:
+    # each family is built only once the one before it is solved
+    for tag, family in families():
+        # the rest of the total goes to a duplicate pair; Game drops [0, 0]
+        d = (total - family.total) // 2
+        game = Game(family.piles + (d, d))
         if game.total != total or game.grundy != 0 or len(game) > 5:
             raise InvariantError(f"bad candidate {game} for total {total}")
         result = _verified(game, tag, solver)

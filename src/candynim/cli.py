@@ -371,7 +371,8 @@ def _cmd_render(args, cfg: CliConfig, out) -> int:
             )
             for t in data["turns"]
         )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    # RecursionError: json.loads recurses once per nesting level
+    except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not a trace file: {exc}") from exc
     out.write(render_trace(StrategyTrace(turns)))
     return 0

@@ -55,8 +55,20 @@ _FIELD = rf"\s*[0-9]{{1,{_CAP_DIGITS}}}\s*"
 _LIST_RE = re.compile(rf"\s*(\[)?({_FIELD}(?:,{_FIELD})*)(?(1)\])\s*", re.ASCII)
 
 
+def _shown(n) -> str:
+    """``str(n)``, or a name such as ``<16610-bit int>`` for an int too long for it.
+
+    ``str()`` refuses an int past the interpreter's digit limit (4,300 digits
+    by default) with ``ValueError``; such an int is named by its bit length.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit int>"
+
+
 def _over_cap(pile) -> PileCapError:
-    return PileCapError(f"pile {pile} exceeds the hard cap {PILE_CAP}")
+    return PileCapError(f"pile {_shown(pile)} exceeds the hard cap {PILE_CAP}")
 
 
 def _fields(text: str) -> list:
@@ -125,7 +137,7 @@ def _check_pile(p) -> None:
     if not isinstance(p, int) or isinstance(p, bool):
         raise ParseError(f"pile sizes must be integers, got {p!r}")
     if p < 0:
-        raise ParseError(f"pile sizes must be nonnegative, got {p}")
+        raise ParseError(f"pile sizes must be nonnegative, got {_shown(p)}")
     if p > PILE_CAP:
         raise _over_cap(p)
 
@@ -286,11 +298,12 @@ class Game(_Ordered):
     def _old_size(self, ply: "Ply") -> int:
         """The size of the pile ``ply`` shrinks; IllegalMoveError if it cannot."""
         if not 0 <= ply.pile_index < len(self.piles):
-            raise IllegalMoveError(f"no pile {ply.pile_index} in {self}")
+            raise IllegalMoveError(f"no pile {_shown(ply.pile_index)} in {self}")
         old = self.piles[ply.pile_index]
         if not 0 <= ply.new_size < old:
             raise IllegalMoveError(
-                f"pile {ply.pile_index} of {self} is {old}; cannot set it to {ply.new_size}"
+                f"pile {ply.pile_index} of {self} is {old}; "
+                f"cannot set it to {_shown(ply.new_size)}"
             )
         return old
 

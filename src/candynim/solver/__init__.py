@@ -4,10 +4,10 @@
 a native kernel over a flat table of packed 64-bit keys, and the
 pure-Python engine in :mod:`candynim.solver._python`.  Both implement
 the same recursion and the same tie-break, so every result is
-engine-independent; ``auto`` runs a game on the kernel whenever
-``_kernel.fits`` it.  Each engine answers three calls: ``solve_value``
-for a value, ``line`` for a principal line, and ``best_plies`` for the
-plies of the best score among a position's candidate plies, the one call
+engine-independent; ``auto`` runs a game on the kernel unless the
+kernel refuses it.  Each engine answers three calls: ``solve_value`` for
+a value, ``line`` for a principal line, and ``best_plies`` for the plies
+of the best score among a position's candidate plies, the one call
 behind :meth:`Solver.best_plies`.  Each engine scans a position's plies
 in one loop, which serves both ``line`` and ``best_plies``: the kernel's
 ``score_plies`` in C, scoring each ply under the floor that the value
@@ -15,7 +15,10 @@ sets, and the Python engine's exact ``scores``.
 
 The kernel, ``candynim.solver._kernel``, is the hand-written C extension
 ``_kernel.c``; building it needs a C compiler.  Where it was not built,
-``auto`` runs on Python and ``native`` raises :class:`EngineError`.
+``auto`` runs on Python and ``native`` raises :class:`EngineError`.  The
+kernel is the only judge of which games it takes: each query makes one
+kernel call, which refuses a game with :class:`EngineError` before any
+search, and ``auto`` then asks the Python engine.
 
 The kernel keys each position by its own width: a position of ``n``
 piles gives every pile a ``62 // n``-bit field, highest pile first, and
@@ -59,14 +62,14 @@ import functools
 import sys
 from dataclasses import dataclass
 
-from ..core import Game, Ply, _child, _plies_of
+from ..core import Game, Ply, _plies_of
 from ..errors import (
     BudgetError,
     EngineError,
     InvariantError,
     PileCapError,
 )
-from ._python import PyEngine, _best_entry, _plies, _walk, oracle_entry
+from ._python import PyEngine, _walk, oracle_entry
 
 try:
     from . import _kernel
@@ -185,9 +188,9 @@ class Solver:
 
     Args:
         engine: ``"auto"``, ``"native"``, or ``"python"``.  ``auto``
-            uses the kernel whenever it is built and ``_kernel.fits`` the
-            game, else Python.  ``native`` raises the kernel's errors:
-            :class:`EngineError` for a game it does not take,
+            uses the kernel whenever it is built, unless the kernel
+            refuses the game, and Python otherwise.  ``native`` raises the
+            kernel's errors: :class:`EngineError` for a game it does not take,
             :class:`BudgetError` for a search past its depth budget.
         pile_cap: largest root pile accepted by :meth:`solve`.
         memo_cap: transposition-table entry budget, per engine.
@@ -217,14 +220,22 @@ class Solver:
     # -- engine plumbing ------------------------------------------------
 
     def _run(self, method: str, game: Game):
-        """``method(piles)`` on the kernel if asked for or, under auto, if it fits; else Python."""
+        """``method(piles)`` on the engine that takes the game.
+
+        That is the kernel, unless the engine is ``python``, or it is
+        ``auto`` and the kernel refuses the game with :class:`EngineError`,
+        which it does before any search.  Python runs after the ``except``
+        block, so its own errors do not carry the refusal as ``__context__``.
+        """
         piles = game.piles
-        if self.engine == "native" or (
-            self.engine == "auto" and _kernel is not None and _kernel.fits(piles)
-        ):
+        if self.engine != "python" and _kernel is not None:
             if self._native is None:
                 self._native = _kernel.NativeEngine(self.memo_cap)
-            return getattr(self._native, method)(piles)
+            try:
+                return getattr(self._native, method)(piles)
+            except EngineError:
+                if self.engine == "native":
+                    raise
         if self._py is None:
             self._py = PyEngine(self.memo_cap)
         return _with_room(game.total, getattr(self._py, method), piles)
@@ -246,13 +257,10 @@ class Solver:
     def solve(self, game: Game, workers: int = 1) -> SolveResult:
         """Value, candy split, and an optimal line.
 
-        ``workers > 1`` fans the root plies out over that many processes;
-        the merge applies the serial tie-break, so the result is
-        identical to ``workers=1``.
+        ``workers`` is ignored: the result is the one serial search's.  It
+        stays for callers that still pass it.
         """
         self._check_caps(game)
-        if workers > 1 and game:
-            return self._solve_parallel(game, workers)
         return _solved(game, self._run("line", game))
 
     def best_plies(self, game: Game) -> tuple[Ply, ...]:
@@ -307,38 +315,6 @@ class Solver:
             out.append(self._py.stats())
         return out
 
-    # -- parallel root split ---------------------------------------------
-
-    def _solve_parallel(self, game: Game, workers: int) -> SolveResult:
-        # imported here, its only user, so that importing the package does
-        # not pay for it
-        import multiprocessing
-
-        piles = game.piles
-        g = game.grundy
-        plies = list(_plies(piles, g))
-        tasks = [
-            (_child(piles, i, new), self.engine, self.pile_cap, self.memo_cap)
-            for i, new in plies
-        ]
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=workers) as pool:
-            solved = pool.map(_solve_child_task, tasks)
-        sign = 1 if g == 0 else -1
-        scores = [piles[i] - new + sign * v for (i, new), (v, _) in zip(plies, solved)]
-        value, i, new = _best_entry(piles, scores)
-        child_line = solved[plies.index((i, new))][1]
-        line = (Ply(i, new),) + tuple(Ply(a, b) for a, b in child_line)
-        n_loser, n_winner = _split(game.total, value)
-        return SolveResult(game, value, n_loser, n_winner, line)
-
-
-def _solve_child_task(args):
-    piles, engine, pile_cap, memo_cap = args
-    solver = Solver(engine=engine, pile_cap=pile_cap, memo_cap=memo_cap)
-    result = solver.solve(Game(piles))
-    return result.value, [(p.pile_index, p.new_size) for p in result.principal_line]
-
 
 @functools.cache
 def _default_solver() -> Solver:
@@ -346,9 +322,9 @@ def _default_solver() -> Solver:
     return Solver()
 
 
-def solve(game: Game, workers: int = 1) -> SolveResult:
+def solve(game: Game) -> SolveResult:
     """Solve with the module default solver."""
-    return _default_solver().solve(game, workers=workers)
+    return _default_solver().solve(game)
 
 
 def value(game: Game) -> int:

@@ -62,8 +62,12 @@
    and, as each loser ply and winner reply takes one or more, at most
    T - 2(d - 1) of the root's T: a root of at most 10,000 candies searches
    at most 4,998 deep.  Only exact values are stored, so the table outlives
-   a budget error.  fits() runs load, so only this file knows which games
-   the kernel takes. */
+   a budget error.
+
+   Only this file knows which games the kernel takes: every method reads
+   its piles through load, which raises EngineError for a game the kernel
+   does not take before any search, and the solver's auto engine then runs
+   the game on Python. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -475,28 +479,27 @@ static int load(PyObject *piles, int64_t *arr)
     return (int)n;
 }
 
-/* Whether load accepts piles; any error but its EngineError propagates. */
-static PyObject *fits(PyObject *Py_UNUSED(module), PyObject *piles)
-{
-    int64_t arr[MAX_N];
-    if (load(piles, arr) >= 0)
-        Py_RETURN_TRUE;
-    if (!PyErr_ExceptionMatches(EngineError))
-        return NULL;
-    PyErr_Clear();
-    Py_RETURN_FALSE;
-}
-
+/* memo_cap is any positive Python int.  A cap past INT64_MAX is stored as
+   INT64_MAX, which the table never reaches: it stops growing at 2^62
+   slots. */
 static int Engine_init(Engine *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"memo_cap", NULL};
-    long long memo_cap;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L", kwlist, &memo_cap))
+    PyObject *arg;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &arg))
         return -1;
-    if (memo_cap < 1) {
-        PyErr_Format(PyExc_ValueError, "table cap must be positive, got %lld", memo_cap);
+    PyObject *cap = PyNumber_Index(arg);
+    if (cap == NULL)
         return -1;
-    }
+    int overflow; /* cap is an int, so the call cannot fail */
+    long long memo_cap = PyLong_AsLongLongAndOverflow(cap, &overflow);
+    if (overflow)
+        memo_cap = overflow > 0 ? INT64_MAX : 0;
+    if (memo_cap < 1)
+        PyErr_Format(PyExc_ValueError, "table cap must be positive, got %S", cap);
+    Py_DECREF(cap);
+    if (memo_cap < 1)
+        return -1;
     if (self->slots != NULL) {
         PyErr_SetString(PyExc_RuntimeError, "NativeEngine is already initialized");
         return -1;
@@ -730,11 +733,6 @@ static PyObject *Engine_stats(PyObject *self, PyObject *Py_UNUSED(ignored))
     return rows;
 }
 
-static Py_ssize_t Engine_len(PyObject *self)
-{
-    return (Py_ssize_t)((Engine *)self)->size;
-}
-
 static PyMethodDef Engine_methods[] = {
     {"solve_value", Engine_solve_value, METH_O,
      "Exact value of any position (either side to move)."},
@@ -750,28 +748,18 @@ static PyMethodDef Engine_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-static PySequenceMethods Engine_as_sequence = {
-    .sq_length = Engine_len,
-};
-
 static PyTypeObject EngineType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "candynim.solver._kernel.NativeEngine",
     .tp_doc = PyDoc_STR(
         "NativeEngine(memo_cap): value search over one flat table of at most "
-        "memo_cap loser-to-move positions; len() is the number stored."),
+        "memo_cap loser-to-move positions."),
     .tp_basicsize = sizeof(Engine),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PyType_GenericNew,
     .tp_init = (initproc)Engine_init,
     .tp_dealloc = (destructor)Engine_dealloc,
     .tp_methods = Engine_methods,
-    .tp_as_sequence = &Engine_as_sequence,
-};
-
-static PyMethodDef kernel_methods[] = {
-    {"fits", fits, METH_O, "Whether the kernel takes piles, a canonical pile sequence."},
-    {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
@@ -779,7 +767,6 @@ static struct PyModuleDef kernel_module = {
     .m_name = "candynim.solver._kernel",
     .m_doc = "Compiled value engine with one flat, pair-stripped table.",
     .m_size = -1,
-    .m_methods = kernel_methods,
 };
 
 PyMODINIT_FUNC PyInit__kernel(void)

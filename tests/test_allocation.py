@@ -21,6 +21,7 @@ from candynim.errors import (
     FamilyError,
     InvariantError,
     ParityError,
+    PileCapError,
 )
 from candynim.harness import _gapped_chain
 from candynim.solver import Solver, solve
@@ -138,6 +139,22 @@ def test_five_pile_construct_sweep():
         assert r.game.grundy == 0
         assert len(r.game) <= 5
         assert r.n_winner <= five_pile_upper(total)
+
+
+def test_five_pile_construct_solves_each_family_before_it_builds_the_next(monkeypatch):
+    # the template's pair is past the default solver's pile cap, so the first
+    # solve fails; the other ~N/2 families must not have been built before it
+    built = []
+    realize = allocation.g_family_realize
+
+    def spy(*args):
+        built.append(args)
+        return realize(*args)
+
+    monkeypatch.setattr(allocation, "g_family_realize", spy)
+    with pytest.raises(PileCapError):
+        five_pile_construct(10**6)
+    assert 1 <= len(built) <= 2
 
 
 def test_five_pile_rejects_bad_totals():

@@ -149,6 +149,10 @@ def test_render_rejects_garbage(tmp_path):
     bad.write_text("{not json")
     assert run(["render", str(bad)])[0] == 2
     assert run(["render", str(tmp_path / "missing.json")])[0] == 2
+    # json.loads recurses once per level and runs out of stack
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert run(["render", str(deep)])[0] == 2
 
 
 def test_bounds_table_and_point():
@@ -209,6 +213,8 @@ def test_pile_cap_budget_exit_3():
 def test_pile_too_long_for_int_exits_3():
     # past int()'s 4,300-digit limit, still the hard cap's budget error
     assert run(["solve", "[" + "9" * 5000 + "]"])[0] == 3
+    # a family pile too long to print is named by its bit length
+    assert run(["bounds", "standard-form-interval", "k=100000,m=1"])[0] == 3
 
 
 def test_solve_pile_past_the_c_int_recursion_limit():
@@ -313,11 +319,11 @@ def test_main_returns_int():
     assert main(["classify", "[1,2,3]"]) == 0
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter on the package under test."""
-    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+def _python(*args: str, stdin: str = None, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the package under test, with ``env`` added."""
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT, **env}
+    return subprocess.run([sys.executable, *args], env=env, input=stdin,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -327,7 +333,36 @@ def test_python_dash_m_runs_the_cli():
     assert _python("-m", "candynim", "solve", "[1,2").returncode == 2
 
 
+# (argv, stdin, env, exit code, what stderr starts with): each of these once
+# ended in a traceback that escaped main, which in-process dispatch cannot
+# see.  The kernel holds a memo cap past 64 bits at 2**63 - 1, which its
+# table never reaches, so those runs print what the Python engine prints.
+CLI_EDGES = [
+    (["solve", "[3,2,1]", "--memo-cap", str(2**63)], None, {}, 0, None),
+    (["verify", "value-nonneg", "--profile", "smoke"], None,
+     {"CANDYNIM_MEMO_CAP": "99999999999999999999"}, 0, None),
+    (["bounds", "standard-form-interval", "k=100000,m=1"], None, {}, 3, "budget exceeded: "),
+    (["allocate", "1000000"], None, {}, 3, "budget exceeded: "),
+    (["render", "-"], "[" * 200_000, {}, 2, "error: not a trace file: "),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,env,code,stderr", CLI_EDGES,
+                         ids=["memo-cap", "memo-cap-env", "bounds", "allocate", "render"])
+def test_cli_edges_exit_without_a_traceback(monkeypatch, argv, stdin, env, code, stderr):
+    proc = _python("-m", "candynim", *argv, stdin=stdin, **env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if stderr is None:
+        assert proc.stderr == ""
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert run(argv + ["--engine", "python"]) == (0, proc.stdout)
+    else:
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(stderr)
+
+
 def test_importing_the_cli_leaves_multiprocessing_out():
-    # only Solver.solve(workers > 1) needs it, and imports it itself
+    # nothing in the package imports it
     proc = _python("-c", "import sys, candynim.cli; print('multiprocessing' in sys.modules)")
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -253,6 +253,17 @@ def test_turn_validation():
             PileCapError,
             "pile 4294967296 exceeds the hard cap 4294967295",
         ),
+        # past the interpreter's 4,300-digit str() limit, named by bit length
+        (
+            lambda: Game([10**5000]),
+            PileCapError,
+            "pile <16610-bit int> exceeds the hard cap 4294967295",
+        ),
+        (
+            lambda: Game([-(10**5000)]),
+            ParseError,
+            "pile sizes must be nonnegative, got <negative 16610-bit int>",
+        ),
         (lambda: Game([5, 3]).apply(Ply(2, 0)), IllegalMoveError, "no pile 2 in [5,3]"),
         (lambda: Game([5, 3]).apply(Ply(-1, 0)), IllegalMoveError, "no pile -1 in [5,3]"),
         (
@@ -274,6 +285,16 @@ def test_turn_validation():
             lambda: Game([5, 3]).apply(Ply(0, -1)),
             IllegalMoveError,
             "pile 0 of [5,3] is 5; cannot set it to -1",
+        ),
+        (
+            lambda: Game([5, 3]).apply(Ply(0, 10**5000)),
+            IllegalMoveError,
+            "pile 0 of [5,3] is 5; cannot set it to <16610-bit int>",
+        ),
+        (
+            lambda: Game([5, 3]).candies(Ply(10**5000, 0)),
+            IllegalMoveError,
+            "no pile <16610-bit int> in [5,3]",
         ),
         (lambda: Game([5, 3]).apply(Ply(0, 2.5)), ParseError, "pile sizes must be integers, got 2.5"),
         (lambda: Game([5, 3]).apply(Ply(0, True)), ParseError, "pile sizes must be integers, got True"),

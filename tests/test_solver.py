@@ -237,6 +237,19 @@ def test_native_memo_cap_matches_the_python_engine():
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+def test_native_memo_cap_past_64_bits_is_held_at_the_int64_maximum():
+    # the table stops growing at 2**62 slots, so it never reaches such a cap
+    g = Game([31, 42, 53])
+    for cap in (2**63 - 1, 2**63, 2**70):
+        s = Solver(memo_cap=cap, engine="native")
+        assert s.value(g) == Solver(memo_cap=cap, engine="python").value(g)
+        assert {row["cap"] for row in s.stats()} == {2**63 - 1}
+    for cap in (0, -1, -(2**70)):
+        with pytest.raises(ValueError, match=f"^table cap must be positive, got {cap}$"):
+            solver_mod._kernel.NativeEngine(cap)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
 @pytest.mark.parametrize(
     "piles,message",
     [
@@ -255,7 +268,6 @@ def test_native_solve_value_rejects_what_line_rejects(piles, message):
     with pytest.raises(EngineError, match=message) as best:
         eng.best_plies(piles)
     assert str(best.value) == str(line.value)
-    assert not solver_mod._kernel.fits(piles)
     assert eng.solve_value(()) == PyEngine(1).solve_value(()) == 0
     assert eng.best_plies(()) == PyEngine(1).best_plies(()) == []
 
@@ -320,7 +332,37 @@ def test_facade_leaves_the_pick_to_the_kernel():
         Solver(engine="native", pile_cap=2**32 - 1).value(g)
     auto = Solver(pile_cap=2**32 - 1)
     assert auto.value(g) == Solver(engine="python", pile_cap=2**32 - 1).value(g) == 1 - 2**31
-    assert auto._native is None
+    # the kernel refused the game before any search, so only Python did work
+    assert [row["engine"] for row in auto.stats()] == ["python"]
+
+
+class _CountingEngine:
+    """A kernel engine that records each method the facade looks up."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.engine, name)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
+@pytest.mark.parametrize("engine", ["auto", "native"])
+def test_each_query_makes_one_kernel_call(engine):
+    s = Solver(engine=engine, pile_cap=2**32 - 1)
+    s.value(Game([1]))
+    s._native = counting = _CountingEngine(s._native)
+    for g in (Game([31, 42, 53]), Game([2**31, 1])):  # one the kernel takes, one it refuses
+        for query, method in ((s.value, "solve_value"), (s.solve, "line"),
+                              (s.best_plies, "best_plies")):
+            counting.calls.clear()
+            try:
+                query(g)
+            except EngineError:
+                assert engine == "native"
+            assert counting.calls == [method]
 
 
 @pytest.mark.skipif(not kernel_available(), reason="compiled kernel absent")
@@ -355,8 +397,7 @@ def test_native_stats_rows_split_one_table_by_width():
     rows = s.stats()
     # the 7-pile game is stored as [6, 5, 3]: its pairs are dropped
     assert [row["engine"] for row in rows] == ["native[3]", "native[4]"]
-    assert sum(row["entries"] for row in rows) == len(s._native) > 0
-    assert sum(row["misses"] for row in rows) == len(s._native)
+    assert sum(row["entries"] for row in rows) == sum(row["misses"] for row in rows) > 0
 
 
 # (width, entries, hits, misses) per stats() row after one value() on a
@@ -441,10 +482,16 @@ def test_native_search_counts_are_pinned(piles, rows):
 def test_auto_engine_falls_back_when_unpackable():
     # 33 piles cannot pack into the native key; auto must still answer
     wide = Game([2, 2] * 16 + [1])
-    assert not solver_mod._kernel.fits(wide.piles)
+    with pytest.raises(EngineError, match="at most 31 piles"):
+        solver_mod._kernel.NativeEngine(100).solve_value(wide.piles)
     r = Solver(engine="auto").solve(wide)
     # pair invariance: worth the same as the lone [1]
     assert r.value == Solver(engine="python").solve(wide).value == -1
+    # the Python engine runs after the kernel's refusal is handled, so its
+    # own error does not carry that refusal
+    with pytest.raises(MemoBudgetError) as err:
+        Solver(engine="auto", memo_cap=1).value(wide)
+    assert err.value.__context__ is None
 
 
 def test_oracle_matches_memoized_small():
@@ -574,13 +621,6 @@ def test_stats_counters_move():
     s.solve(Game([5, 6, 3]))
     stats = s.stats()
     assert any(entry["entries"] > 0 for entry in stats)
-
-
-def test_parallel_matches_serial():
-    g = Game([5, 4, 3, 2])
-    serial = Solver().solve(g)
-    fanned = Solver().solve(g, workers=4)
-    assert serial == fanned
 
 
 def test_result_is_plain_data():
