@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .allocation import (
@@ -144,15 +143,6 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
     )
 
 
-def _fmt_num(x) -> str:
-    """Exact rendering: integers plain, non-integral rationals as p/q."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
 def _add_common(p: argparse.ArgumentParser, trailing: bool) -> None:
     # trailing copies let the flags follow the subcommand; SUPPRESS keeps
     # them from clobbering values parsed before it
@@ -226,8 +216,7 @@ def _csv_out(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     return buf.getvalue()
 
 
@@ -281,6 +270,9 @@ def _cmd_classify(args, cfg: CliConfig, out) -> int:
 
 def _cmd_moves(args, cfg: CliConfig, out) -> int:
     games, batch = _games_from(args.game)
+    solver = cfg.solver()
+    for g in games:
+        solver._check_caps(g)
     rows = []
     for g in games:
         plies = winning_moves(g) if g.grundy else loser_moves(g)
@@ -403,21 +395,19 @@ def _cmd_bounds(args, cfg: CliConfig, out) -> int:
         rows = bound_rows(args.claim, cfg.budget_profile, solver)
     if cfg.output_format == "json":
         for row in rows:
-            out.write(json_line(
-                {k: _fmt_num(v) if isinstance(v, Fraction) else v
-                 for k, v in row.items()}) + "\n")
+            out.write(json_line(row) + "\n")
     elif cfg.output_format == "csv":
         out.write(_csv_out(
             ["claim_id", "params", "lower", "exact", "upper", "holds"],
-            ([r["claim_id"], r["params"], _fmt_num(r["lower"]), _fmt_num(r["exact"]),
-              _fmt_num(r["upper"]), str(r["holds"]).lower()] for r in rows),
+            ([r["claim_id"], r["params"], r["lower"], r["exact"], r["upper"],
+              str(r["holds"]).lower()] for r in rows),
         ))
     else:
         for r in rows:
             mark = "ok" if r["holds"] else "VIOLATED"
-            up = _fmt_num(r["upper"]) if r["upper"] != "" else "-"
-            out.write(f"{r['params']:<16} {_fmt_num(r['lower']):>6} "
-                      f"<= {_fmt_num(r['exact']):>6} <= {up:>6}  {mark}\n")
+            up = r["upper"] if r["upper"] != "" else "-"
+            out.write(f"{r['params']:<16} {r['lower']!s:>6} "
+                      f"<= {r['exact']!s:>6} <= {up!s:>6}  {mark}\n")
     return 0
 
 

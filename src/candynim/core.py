@@ -21,6 +21,7 @@ in :mod:`candynim.solver`.
 
 from __future__ import annotations
 
+import functools
 import re
 from enum import Enum
 from fractions import Fraction
@@ -184,6 +185,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@functools.total_ordering
 class _Ordered(_Record):
     """A record ordered as ``@dataclass(order=True)``: by its tuple of fields."""
 
@@ -192,21 +194,6 @@ class _Ordered(_Record):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._values() < other._values()
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() <= other._values()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() > other._values()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() >= other._values()
         return NotImplemented
 
 
@@ -271,15 +258,6 @@ class Game(_Ordered):
         if not isinstance(other, Game):
             return NotImplemented
         return Game(self.piles + other.piles)
-
-    # eq and hash written out: sets and tables of games hash them
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.piles == other.piles
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.piles,))
 
     @property
     def total(self) -> int:
@@ -350,15 +328,6 @@ class Ply(_Ordered):
         fields = self.__dict__
         fields["pile_index"] = pile_index
         fields["new_size"] = new_size
-
-    # eq and hash written out: the engines' lines are tuples of plies
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pile_index, self.new_size) == (other.pile_index, other.new_size)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pile_index, self.new_size))
 
     def describe(self, game: Game) -> str:
         """Render as ``"5->2"`` against the position the ply applies to."""

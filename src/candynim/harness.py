@@ -78,7 +78,8 @@ STATUS_NOTED = "discrepancy-noted"
 def json_line(obj) -> str:
     """``obj`` as one line of compact, key-sorted JSON: the byte-stable encoding.
 
-    Values JSON has no type for (games, plies) are written as their ``str``.
+    Values JSON has no type for (games, plies, ``Fraction``) are written as
+    their ``str``.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
 
@@ -784,14 +785,11 @@ def _bit_partitions(a: int) -> Iterator[tuple[int, ...]]:
             for i in range(len(sub)):
                 yield sub[:i] + ((first,) + sub[i],) + sub[i + 1 :]
 
-    seen = set()
+    # the bits are distinct powers of two, so each block's sum names the
+    # block, and two partitions never give the same sums
     for blocks in rec(bits):
-        if len(blocks) < 2:
-            continue
-        parts = tuple(sorted(sum(b) for b in blocks))
-        if parts not in seen:
-            seen.add(parts)
-            yield parts
+        if len(blocks) > 1:
+            yield tuple(sorted(sum(b) for b in blocks))
 
 
 @_register(
@@ -908,17 +906,7 @@ def exit_status(reports) -> int:
 
 def report_lines(reports) -> str:
     """One ClaimReport per line as compact JSON, byte-stable across runs."""
-    return "\n".join(
-        json_line({
-            "claim_id": r.claim_id,
-            "params": r.params,
-            "instances": r.instances,
-            "failures": r.failures,
-            "status": r.status,
-            "notes": r.notes,
-        })
-        for r in reports
-    ) + "\n"
+    return "\n".join(json_line(vars(r)) for r in reports) + "\n"
 
 
 def summary_table(reports) -> str:

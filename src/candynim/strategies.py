@@ -144,29 +144,32 @@ def simulate(
     Args:
         pick_ply: loser policy, called on each zero-nim-sum position.
         g: starting position; must have zero nim-sum.
-        solver: picks the winner's replies in positions of more than
-            three piles; the module default solver when omitted.
+        solver: caps the root's piles and picks the winner's replies in
+            positions of more than three piles; the module default solver
+            when omitted.
 
     Raises:
         ValueError: if ``g`` has nonzero nim-sum.
+        PileCapError: if a pile of ``g`` exceeds the solver's pile cap.
         IllegalMoveError: if the policy returns an illegal ply; the
             message names the failing turn index.
     """
     if g.outcome is not OutcomeClass.P:
         raise ValueError(f"simulate starts from zero nim-sum, got {g}")
+    solver = solver or _default_solver()
+    # a game of at most three piles never reaches the solver, so its cap is
+    # checked here, once: no later position has a larger pile
+    solver._check_caps(g)
     turns = []
     pos = g
     while pos:
         ply = pick_ply(pos)
         try:
             after_loser = pos.apply(ply)
-        except IllegalMoveError as exc:
-            raise IllegalMoveError(f"turn {len(turns)}: {exc}") from None
-        if len(pos) <= 3:
-            reply = unique_response(pos, ply)
-        else:
-            reply = (solver or _default_solver()).best_plies(after_loser)[0]
-        try:
+            if len(pos) <= 3:
+                reply = unique_response(pos, ply)
+            else:
+                reply = solver.best_plies(after_loser)[0]
             after_winner = after_loser.apply(reply)
         except IllegalMoveError as exc:
             raise IllegalMoveError(f"turn {len(turns)}: {exc}") from None

@@ -1,5 +1,7 @@
 """Arrangement construction: equality families, chains, five-pile caps."""
 
+import sys
+
 import pytest
 
 from candynim import allocation
@@ -215,11 +217,40 @@ def test_partitions_raise_the_budget_error_past_the_budget(monkeypatch):
     monkeypatch.setattr(allocation, "_PARTITION_BUDGET", 100)
     with pytest.raises(BudgetError) as raised:
         list(_partitions(40, 40, 40))
-    assert str(raised.value) == "partition search for total 40 passed 100 nodes"
+    assert str(raised.value) == "partition search for total 40 passed 100 steps"
     with pytest.raises(BudgetError):
         exhaustive_min_winner(40, max_piles=40)
-    # the search is lazy: the first tuple comes long before the budget
+    # the search is lazy: the first tuple comes after about 200 steps, long
+    # before a budget that the whole search passes many times over
+    monkeypatch.setattr(allocation, "_PARTITION_BUDGET", 1_000)
     assert next(_partitions(200, 200, 200)) == (100, 100)
+
+
+def test_exhaustive_min_winner_stops_a_huge_total_at_once(monkeypatch):
+    # the root of total 10**6 has 333,334 pile sizes to scan, one step each,
+    # so a budget of 100 stops the search before it scans any of them; the
+    # tracer fails the test if the search runs more than a few lines
+    monkeypatch.setattr(allocation, "_PARTITION_BUDGET", 100)
+    lines = 0
+
+    def in_search(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > 1_000:
+                raise AssertionError("the partition search scanned past its budget")
+        return in_search
+
+    def tracer(frame, event, arg):
+        return in_search if frame.f_code is _partitions.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        with pytest.raises(BudgetError, match="passed 100 steps"):
+            exhaustive_min_winner(10**6)
+    finally:
+        sys.settrace(previous)
 
 
 class _SpySolver(Solver):
@@ -239,7 +270,7 @@ class _SpySolver(Solver):
 
 
 def test_exhaustive_min_winner_raises_the_budget_error_before_solving(monkeypatch):
-    # the partition search of total 40 passes 100 nodes long after it has
+    # the partition search of total 40 passes 100 steps long after it has
     # yielded its first positions, and not one of them may be solved
     monkeypatch.setattr(allocation, "_PARTITION_BUDGET", 100)
     spy = _SpySolver()

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from itertools import combinations_with_replacement
@@ -126,6 +127,9 @@ def test_simulate_pile_cap_budget_exit_3():
     # past three piles the winner's replies come from the configured solver
     assert run(["simulate", "largest", "[1,2,4,7]", "--pile-cap", "3"])[0] == 3
     assert run(["simulate", "largest", "[1,2,4,7]"])[0] == 0
+    # at most three piles the solver picks no reply, but the cap still holds
+    assert run(["simulate", "flip-flop", "[1,2,3]", "--pile-cap", "2"])[0] == 3
+    assert run(["simulate", "flip-flop", "[1,2,3]", "--pile-cap", "3"])[0] == 0
 
 
 def test_simulate_rejects_n_position():
@@ -319,11 +323,22 @@ def test_main_returns_int():
     assert main(["classify", "[1,2,3]"]) == 0
 
 
+# The address space each child interpreter may map: an edge case that grows
+# without bound then fails its own test with MemoryError instead of taking
+# the machine's memory.
+_CHILD_MEMORY = 2 * 2**30
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_MEMORY, _CHILD_MEMORY))
+
+
 def _python(*args: str, stdin: str = None, **env: str) -> subprocess.CompletedProcess:
     """A fresh interpreter on the package under test, with ``env`` added."""
     env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT, **env}
     return subprocess.run([sys.executable, *args], env=env, input=stdin,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_memory)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -344,11 +359,15 @@ CLI_EDGES = [
     (["bounds", "standard-form-interval", "k=100000,m=1"], None, {}, 3, "budget exceeded: "),
     (["allocate", "1000000"], None, {}, 3, "budget exceeded: "),
     (["render", "-"], "[" * 200_000, {}, 2, "error: not a trace file: "),
+    # both games are over the default pile cap of 65,536
+    (["moves", "[100000,100000]"], None, {}, 3, "budget exceeded: "),
+    (["simulate", "flip-flop", "[1,100000,100001]"], None, {}, 3, "budget exceeded: "),
 ]
 
 
 @pytest.mark.parametrize("argv,stdin,env,code,stderr", CLI_EDGES,
-                         ids=["memo-cap", "memo-cap-env", "bounds", "allocate", "render"])
+                         ids=["memo-cap", "memo-cap-env", "bounds", "allocate", "render",
+                              "moves", "simulate"])
 def test_cli_edges_exit_without_a_traceback(monkeypatch, argv, stdin, env, code, stderr):
     proc = _python("-m", "candynim", *argv, stdin=stdin, **env)
     assert proc.returncode == code, proc.stderr

@@ -13,6 +13,7 @@ from candynim.errors import InvariantError, UnknownClaimError
 from candynim.harness import (
     ClaimReport,
     _Tally,
+    _bit_partitions,
     _register,
     bound_rows,
     claim_ids,
@@ -202,6 +203,17 @@ def test_report_lines_are_stable():
             "status",
             "notes",
         }
+
+
+def test_bit_partitions_never_repeat_a_split():
+    # each block of a partition of a's distinct bits sums to a number that
+    # names the block, so no two partitions give the same sorted sums
+    for a in range(2**9):
+        splits = list(_bit_partitions(a))
+        assert len(set(splits)) == len(splits), a
+        for parts in splits:
+            assert len(parts) > 1 and sum(parts) == a and list(parts) == sorted(parts)
+    assert list(_bit_partitions(7)) == [(1, 2, 4), (3, 4), (2, 5), (1, 6)]
 
 
 def test_summary_table_shape():
